@@ -1,9 +1,12 @@
 """Command-line front end: conversions, decisions, simulation, generators.
 
 Verdict verbs print yes/no (plus a witness where applicable) and exit with
-0 for yes/holds, 1 for no/fails, 3 when a position budget ran out; input
-and parse errors exit with 2.  With --json a machine-readable object
-carrying verdict, witness, sizes and timing is printed instead.
+0 for yes/holds, 1 for no/fails, 3 when a componentwise check ran out of
+its work budget (aligned blocks examined, never more than positions);
+input and parse errors exit with 2.  With --json a machine-readable object
+carrying verdict, witness, sizes and timing is printed instead; for
+componentwise checks it also carries the blocks visited and the length of
+the prefix checked clean.
 """
 
 from __future__ import annotations
@@ -75,12 +78,11 @@ def _emit_value(args, text_value: str, started, **fields) -> int:
     return EXIT_YES
 
 
-def _check_result_verdict(res: compare.CheckResult) -> str:
-    if res.verdict == compare.HOLDS:
-        return "yes"
-    if res.verdict == compare.FAILS:
-        return "no"
-    return "budget_exceeded"
+def _emit_check(args, res: compare.CheckResult, sizes, started) -> int:
+    """Print a componentwise check's outcome, with its work counts under --json."""
+    verdict = {compare.HOLDS: "yes", compare.FAILS: "no"}.get(res.verdict, "budget_exceeded")
+    return _emit(args, verdict, res.witness, sizes, started,
+                 {"visited": res.visited, "checked": res.checked})
 
 
 # -- convert ----------------------------------------------------------------
@@ -139,8 +141,7 @@ def cmd_decide(args) -> int:
     sizes["machine2"] = a2.size
     if verb == "equal":
         return _emit(args, "yes" if decide.equivalence(a1, a2) else "no", sizes=sizes, started=started)
-    res = decide.inclusion(a1, a2, args.budget)
-    return _emit(args, _check_result_verdict(res), res.witness, sizes, started)
+    return _emit_check(args, decide.inclusion(a1, a2, args.budget), sizes, started)
 
 
 # -- slp ----------------------------------------------------------------------
@@ -166,7 +167,7 @@ def cmd_slp(args) -> int:
     else:
         rel = compare.order_from_literal(args.order)
         res = compare.comp_slp(p1, p2, rel, args.budget)
-    return _emit(args, _check_result_verdict(res), res.witness, sizes, started)
+    return _emit_check(args, res, sizes, started)
 
 
 # -- intexpr ------------------------------------------------------------------
@@ -247,7 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true", help="machine-readable output")
     common.add_argument("-o", "--output", metavar="PATH", help="output file (or base path)")
     common.add_argument("--budget", type=int, default=compare.DEFAULT_BUDGET,
-                        help="position budget for componentwise checks")
+                        help="work budget for componentwise checks: aligned blocks "
+                             "examined, never more than positions")
     common.add_argument("--bound", type=int, default=64,
                         help="evaluation bound for integer expressions")
     common.add_argument("--cap", type=int, default=4096,

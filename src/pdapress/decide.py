@@ -4,7 +4,8 @@ Membership, emptiness, universality and equivalence stay polynomial; the
 words involved are only ever handled in compressed form.  Inclusion is
 reduced to the componentwise comparison of two equal-length compressed
 words covering one full joint period, so it inherits that check's explicit
-budget (the problem is coNP-complete and a blow-up cannot be ruled out).
+work budget of aligned blocks examined (the problem is coNP-complete and a
+blow-up cannot be ruled out).
 """
 
 from __future__ import annotations
@@ -99,8 +100,12 @@ def inclusion(a1: Machine, a2: Machine, budget: int = DEFAULT_BUDGET) -> CheckRe
     Both characteristic sequences are determined by the positions below the
     longer prefix plus the residue modulo the loop lengths, so comparing one
     window of length max(|prefixes|) + lcm(|loops|) under the order 0 <= 1
-    is complete.  The lcm may be exponential in the machine sizes; running
-    out of budget is then the honest answer.
+    is complete.  The comparison walks aligned blocks of the two windows,
+    so long runs of rejected lengths on the left or accepted lengths on the
+    right cost one block each; `budget` bounds the blocks examined, never
+    more than positions.  The lcm may be exponential in the machine sizes
+    and the blocks may be too; running out of budget is then the honest
+    answer.
     """
     x = udpda_to_indicator(a1)
     y = udpda_to_indicator(a2)

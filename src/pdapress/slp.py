@@ -582,6 +582,8 @@ def parse_slp(text: str) -> Slp:
     First content line is `alphabet: <chars>`; each further line is
     `N -> tok tok ...` with `eps` denoting the empty right-hand side.
     `#` starts a comment.  The first production's left-hand side is the axiom.
+    A program that breaks an invariant of :func:`validate` (a missing
+    production, a cycle, ...) is a FormatError too.
     """
     alphabet: frozenset[str] | None = None
     productions: list[tuple[str, tuple[str, ...]]] = []
@@ -607,7 +609,11 @@ def parse_slp(text: str) -> Slp:
         raise FormatError("missing 'alphabet:' header")
     if not productions:
         raise FormatError("no productions")
-    return Slp(alphabet, productions, productions[0][0])
+    p = Slp(alphabet, productions, productions[0][0])
+    problem = validate(p)
+    if problem is not None:
+        raise FormatError(problem)
+    return p
 
 
 def format_slp(p: Slp) -> str:

@@ -189,3 +189,40 @@ class TestGen:
     def test_missing_output_is_an_error(self, capsys):
         code, _, err = run(capsys, "gen", "lohrey", "--weights", "1", "--target", "1")
         assert code == 2 and "require -o" in err
+
+
+class TestCheckOutputs:
+    def test_compare_json_work_counts(self, files, capsys, tmp_path):
+        a = tmp_path / "a.slp"
+        a.write_text(slp.format_slp(slp.literal("0101", "01")))
+        b = tmp_path / "b.slp"
+        b.write_text(slp.format_slp(slp.literal("0011", "01")))
+        code, out, _ = run(capsys, "slp", "compare", a, b, "--json")
+        payload = json.loads(out)
+        assert code == 1
+        assert {k: payload[k] for k in ("verdict", "witness", "visited", "checked")} == {
+            "verdict": "no", "witness": 1, "visited": 1, "checked": 1}
+        # the text output is unchanged
+        assert run(capsys, "slp", "compare", a, b) == (1, "no (witness n=1)", "")
+
+    def test_included_json_work_counts(self, files, capsys):
+        code, out, _ = run(capsys, "decide", "included",
+                           files / "even.updpa", files / "loop.updpa", "--json")
+        payload = json.loads(out)
+        assert code == 0 and payload["verdict"] == "yes" and payload["witness"] is None
+        assert 1 <= payload["visited"] <= payload["checked"]
+        code, out, _ = run(capsys, "decide", "included",
+                           files / "loop.updpa", files / "even.updpa", "--json", "--budget", "0")
+        payload = json.loads(out)
+        assert code == 3 and payload["verdict"] == "budget_exceeded"
+        assert (payload["visited"], payload["checked"]) == (0, 0)
+
+    @pytest.mark.parametrize("text, problem", [
+        ("alphabet: 01\nS -> 0 X\n", "missing production X"),
+        ("alphabet: 01\nS -> 0 X\nX -> 1 S\n", "cycle at"),
+    ])
+    def test_bad_program_exit_2(self, files, capsys, tmp_path, text, problem):
+        bad = tmp_path / "bad.slp"
+        bad.write_text(text)
+        code, out, err = run(capsys, "slp", "compare", bad, files / "p101.slp")
+        assert code == 2 and out == "" and problem in err

@@ -15,8 +15,9 @@ from pdapress.compare import (
     partial_word_match,
 )
 from pdapress.errors import LengthMismatch
+from pdapress.reductions import SubsetSumInstance, gen_subsetsum_to_compslp
 
-from helpers import random_slp
+from helpers import HARD_TARGET, HARD_WEIGHTS, random_slp
 
 
 def lit(word, alphabet):
@@ -66,10 +67,16 @@ class TestCompSlp:
             comp_slp(lit("01", "01"), lit("011", "01"), ZERO_LEQ_ONE)
 
     def test_budget(self):
-        a = slp.power(lit("01", "01"), 1 << 20)
-        res = comp_slp(a, a, ZERO_LEQ_ONE, budget=1000)
+        p1, p2 = gen_subsetsum_to_compslp(SubsetSumInstance(HARD_WEIGHTS, HARD_TARGET))
+        res = comp_slp(p1, p2, ZERO_LEQ_ONE, budget=10_000)
         assert res.verdict == compare.BUDGET_EXCEEDED
+        assert res.visited == 10_000 and 10_000 <= res.checked < slp.length(p1)
         # a violation inside the budget is still reported
+        p1, p2 = gen_subsetsum_to_compslp(SubsetSumInstance(HARD_WEIGHTS, 50))
+        res = comp_slp(p1, p2, ZERO_LEQ_ONE, budget=10_000)
+        assert res.verdict == compare.FAILS
+        assert res == comp_slp(p1, p2, ZERO_LEQ_ONE)
+        a = slp.power(lit("01", "01"), 1 << 20)
         b = slp.concat(lit("10", "01"), slp.power(lit("01", "01"), (1 << 20) - 1))
         res = comp_slp(b, a, ZERO_LEQ_ONE, budget=1000)
         assert res.verdict == compare.FAILS and res.witness == 0
@@ -132,3 +139,121 @@ class TestPartialWordMatch:
     def test_rejects_other_alphabets(self):
         with pytest.raises(ValueError):
             partial_word_match(lit("01", "01"), lit("01", "01"))
+
+
+def chain(word, alphabet):
+    """A right-leaning chain, one level per symbol: deeper than the recursion limit."""
+    prods = {f"C{i}": (ch, f"C{i + 1}") for i, ch in enumerate(word)}
+    prods[f"C{len(word)}"] = ()
+    return slp.Slp(alphabet, prods, "C0")
+
+
+def mixed(word, alphabet, rng):
+    """One wide production mixing terminal runs with short nonterminals."""
+    prods = {"S": []}
+    i = 0
+    while i < len(word):
+        k = rng.randint(1, 150)
+        if rng.random() < 0.5:
+            prods["S"].extend(word[i:i + k])
+        else:
+            name = f"P{len(prods)}"
+            prods[name] = tuple(word[i:i + k])
+            prods["S"].append(name)
+        i += k
+    return slp.Slp(alphabet, prods, "S")
+
+
+def shaped(word, alphabet, rng):
+    """The word as one of several grammar shapes random_slp does not produce."""
+    kind = rng.choice(["literal", "chain", "mixed", "cnf"])
+    if kind == "literal" or not word:
+        return slp.literal(word, alphabet)
+    if kind == "chain":
+        return chain(word, alphabet)
+    if kind == "mixed":
+        return mixed(word, alphabet, rng)
+    # binarized by a left fold: a left-leaning chain as deep as the word is long
+    return slp.to_cnf(mixed(word, alphabet, rng))
+
+
+def runny_word(rng, alphabet, n):
+    """A word of random runs, so whole blocks can be clean or dirty."""
+    out = []
+    while len(out) < n:
+        out.extend(rng.choice(alphabet) * rng.choice([1, 2, 7, 70, 300]))
+    return "".join(out[:n])
+
+
+def related_word(rng, word, rel, bad_rate):
+    """A word related to the given one position by position, except where a
+    violation is planted with probability bad_rate."""
+    alphabet = sorted(rel.alphabet)
+    out = []
+    for x in word:
+        ok = [y for y in alphabet if rel.holds(x, y)]
+        wrong = [y for y in alphabet if not rel.holds(x, y)]
+        if wrong and rng.random() < bad_rate:
+            out.append(rng.choice(wrong))
+        elif rng.random() < 0.9:
+            out.append(x)
+        else:
+            out.append(rng.choice(ok))
+    return "".join(out)
+
+
+class TestBlockWalk:
+    """Differential test of the block walk against the naive oracle."""
+
+    def check(self, p1, p2, rel):
+        n = slp.length(p1)
+        want = naive(slp.expand(p1, n), slp.expand(p2, n), rel)
+        got = comp_slp(p1, p2, rel)
+        if want is None:
+            assert got.verdict == compare.HOLDS and got.checked == n
+            assert got.visited <= n
+            positions = n
+        else:
+            assert (got.verdict, got.witness, got.checked) == (compare.FAILS, want, want)
+            assert got.visited <= want + 1
+            positions = want + 1
+        # a budget of the positions the answer needs always suffices
+        assert comp_slp(p1, p2, rel, budget=positions) == got
+
+    @pytest.mark.parametrize("rel", [ZERO_LEQ_ONE, WILDCARD], ids=["order", "wildcard"])
+    def test_shapes_agree_with_naive_oracle(self, rel):
+        rng = random.Random(54)
+        alphabet = "".join(sorted(rel.alphabet))
+        for _ in range(120):
+            n = rng.choice([0, 1, 2, 63, 64, 65, 129, 1000, 2100])
+            w1 = runny_word(rng, alphabet, n)
+            w2 = related_word(rng, w1, rel, rng.choice([0, 0.0005, 0.01, 0.3]))
+            if n and rng.random() < 0.2:  # a witness at the last position
+                w2 = related_word(rng, w1[:-1], rel, 0) + rng.choice(
+                    [y for y in alphabet if not rel.holds(w1[-1], y)] or [w1[-1]])
+            self.check(shaped(w1, alphabet, rng), shaped(w2, alphabet, rng), rel)
+
+    def test_equal_programs_distinct_objects(self):
+        rng = random.Random(55)
+        for _ in range(20):
+            p = random_slp(rng, "01", min_len=1, max_len=5000)
+            copy = slp.Slp(p.alphabet, dict(p.productions), p.axiom)
+            res = comp_slp(p, copy, ZERO_LEQ_ONE)
+            assert res.holds and res.visited == 1
+        word = runny_word(rng, "ab?", 3000)
+        p = mixed(word, "ab?", rng)
+        copy = slp.Slp(p.alphabet, dict(p.productions), p.axiom)
+        assert comp_slp(p, copy, WILDCARD) == compare.CheckResult(compare.HOLDS)
+
+    def test_deep_chains(self):
+        rng = random.Random(56)
+        w1 = runny_word(rng, "01", 2500)
+        w2 = w1[:-1] + ("0" if w1[-1] == "1" else "1")
+        self.check(chain(w1, "01"), chain(w2, "01"), ZERO_LEQ_ONE)
+        self.check(chain(w1, "01"), slp.literal(w1, "01"), ZERO_LEQ_ONE)
+        # a 3,000-level chain of single nonterminals over one symbol
+        prods = {f"U{i}": (f"U{i + 1}",) for i in range(3000)}
+        prods["U3000"] = ("1",)
+        deep = slp.Slp("01", prods, "U0")
+        self.check(deep, slp.literal("0", "01"), ZERO_LEQ_ONE)
+        self.check(slp.literal("0", "01"), deep, ZERO_LEQ_ONE)

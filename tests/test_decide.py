@@ -5,9 +5,16 @@ import random
 import pytest
 
 from pdapress import compare, decide, slp, udpda
+from pdapress.reductions import (
+    SubsetSumInstance,
+    gen_compslp_to_inclusion,
+    gen_subsetsum_to_compslp,
+)
 from pdapress.translate import IndicatorPair, indicator_to_udpda, slp_to_udpda
 
 from helpers import (
+    HARD_TARGET,
+    HARD_WEIGHTS,
     machine_dead,
     machine_even,
     machine_loop,
@@ -112,13 +119,30 @@ class TestInclusion:
             assert decide.equivalence(m1, m2) == (r12.holds and r21.holds)
 
     def test_budget_exceeded_possible(self):
-        # small machines whose loops have huge coprime lengths: the joint
-        # period explodes, so the window cannot be walked within the budget
+        # the comparison of an unsolvable 16-weight subset-sum instance,
+        # routed through the inclusion reduction: the walk needs far more
+        # blocks than the budget allows
+        def machines(target):
+            p1, p2 = gen_subsetsum_to_compslp(SubsetSumInstance(HARD_WEIGHTS, target))
+            return p1, p2, gen_compslp_to_inclusion(p1, p2, bits("0"))
+
+        _, _, (a, b) = machines(HARD_TARGET)
+        res = decide.inclusion(a, b, budget=10_000)
+        assert res.verdict == compare.BUDGET_EXCEEDED
+        # a violation inside the budget is still reported
+        p1, p2, (a, b) = machines(50)
+        res = decide.inclusion(a, b, budget=10_000)
+        assert res.verdict == compare.FAILS
+        assert res.witness == compare.comp_slp(p1, p2, compare.ZERO_LEQ_ONE).witness
+
+    def test_long_coprime_loops(self):
+        # loops of coprime lengths near 10^4 give a window of ~10^8
+        # positions; the blocks of zeros are skipped whole
         def long_loop_machine(p):
             loop = slp.concat(slp.power(bits("0"), p - 1), bits("1"))
             return indicator_to_udpda(IndicatorPair(bits(""), loop))
 
-        a = long_loop_machine(10_007)
-        b = long_loop_machine(10_009)
-        res = decide.inclusion(a, b, budget=10_000)
-        assert res.verdict == compare.BUDGET_EXCEEDED
+        res = decide.inclusion(long_loop_machine(10_007), long_loop_machine(10_009),
+                               budget=10_000)
+        assert res.verdict == compare.FAILS and res.witness == 10_006
+        assert res.visited <= 100
