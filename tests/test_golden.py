@@ -1,0 +1,71 @@
+"""Golden digest: the translation's formatted outputs over a seeded corpus.
+
+One SHA-256 over every pair and machine file the translation writes for a
+fixed corpus (handcrafted machines, random normal machines, normalized raw
+machines, machine images of random programs in both stack modes, and
+random transcript pairs).  A refactoring that keeps this digest keeps every
+output byte; a change that alters an output on purpose records the new
+digest here and says why.
+"""
+
+import hashlib
+import random
+
+from pdapress import slp, translate, udpda
+
+from helpers import handcrafted_machines, random_normal_udpda, random_raw_udpda, random_slp
+
+GOLDEN = "28a959a566e895453e098f9e782d4a7d6bac5f485366ca0a39f26f68f5d3bc7d"
+
+
+def _machines():
+    yield from (m for _, m in handcrafted_machines())
+    rng = random.Random(9001)
+    for i in range(300):
+        yield random_normal_udpda(rng, max_states=40 if i % 10 == 0 else 12)
+    for _ in range(150):
+        yield udpda.normalize(random_raw_udpda(rng))
+    for i in range(100):
+        p = random_slp(rng, "01", min_len=1, max_len=300)
+        yield translate.slp_to_udpda(p, tight_stack=bool(i % 2))
+
+
+def _transcripts():
+    rng = random.Random(9002)
+    for _ in range(300):
+        prefix = "".join(rng.choice("af") for _ in range(rng.randint(0, 12)))
+        loop = "".join(rng.choice("af") for _ in range(rng.randint(1, 12)))
+        yield translate.TranscriptPair(slp.literal(prefix, "af"), slp.literal(loop, "af"))
+    for _ in range(60):
+        yield translate.TranscriptPair(
+            random_slp(rng, "af", max_len=400), random_slp(rng, "af", min_len=1, max_len=400)
+        )
+
+
+def _outputs():
+    pairs = []
+    for m in _machines():
+        yield translate.format_pair(translate.udpda_to_transcript(m))
+        pair = translate.udpda_to_indicator(m)
+        pairs.append(pair)
+        yield translate.format_pair(pair)
+    for tp in _transcripts():
+        pair = translate.transcript_to_characteristic(tp)
+        pairs.append(pair)
+        yield translate.format_pair(pair)
+    for pair in pairs[::3]:
+        for tight in (False, True):
+            m = translate.indicator_to_udpda(pair, tight)
+            yield udpda.format_udpda(udpda.to_raw(m))
+
+
+def corpus_digest() -> str:
+    h = hashlib.sha256()
+    for text in _outputs():
+        h.update(text.encode())
+        h.update(b"\0")
+    return h.hexdigest()
+
+
+def test_outputs_match_golden_digest():
+    assert corpus_digest() == GOLDEN
