@@ -19,7 +19,6 @@ from .translate import (
     udpda_to_transcript,
 )
 from .udpda import (
-    Configuration,
     NormalUdpda,
     RawUnpda,
     check_deterministic,

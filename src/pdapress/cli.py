@@ -3,7 +3,8 @@
 Verdict verbs print yes/no (plus a witness where applicable) and exit with
 0 for yes/holds, 1 for no/fails, 3 when a componentwise check ran out of
 its work budget (aligned blocks examined, never more than positions);
-input and parse errors exit with 2.  With --json a machine-readable object
+input and parse errors exit with 2, and any other failure (an internal
+error, which is never a verdict) exits with 4.  With --json a machine-readable object
 carrying verdict, witness, sizes and timing is printed instead; for
 componentwise checks it also carries the blocks visited and the length of
 the prefix checked clean.
@@ -24,6 +25,7 @@ EXIT_YES = 0
 EXIT_NO = 1
 EXIT_ERROR = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
 def _read(path: str) -> str:
@@ -320,6 +322,9 @@ def main(argv=None) -> int:
     except IndexError:
         print("error: missing argument for this verb", file=sys.stderr)
         return EXIT_ERROR
+    except Exception as e:  # last resort: a crash must not read as exit 1, "no"
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -14,9 +14,11 @@ pair over {0, 1}.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from typing import ClassVar
 
-from . import slp
+from . import slp, udpda
 from .errors import EmptyWord, FormatError, MalformedPair
 from .slp import Slp
 from .udpda import DEFAULT_BOTTOM, NormalUdpda, RawUnpda, normalize
@@ -37,61 +39,53 @@ def _widen(p: Slp, alphabet: frozenset[str]) -> Slp:
     return st.build(st.imp(p))
 
 
-def _sequence(prefix: Slp, loop: Slp, n: int) -> str:
-    """First n characters of prefix.loop^omega, expanding only what is needed."""
-    plen = slp.length(prefix)
-    if n <= plen:
-        return slp.expand(slp.slice(prefix, 0, n), n) if n else ""
-    pre = slp.expand(prefix, plen) if plen else ""
-    llen = slp.length(loop)
-    need = n - plen
-    if llen > need:
-        return pre + slp.expand(slp.slice(loop, 0, need), need)
-    body = slp.expand(loop, llen)
-    return pre + body * (need // llen) + body[: need % llen]
-
-
 @dataclass(frozen=True)
-class IndicatorPair:
+class _Pair:
+    """Programs for the prefix and the loop of an eventually periodic word;
+    subclasses fix its alphabet and its kind in the pair file format."""
+
+    KIND: ClassVar[str]
+    ALPHABET: ClassVar[frozenset[str]]
+
+    prefix: Slp
+    loop: Slp
+
+    def __post_init__(self):
+        object.__setattr__(self, "prefix", _widen(self.prefix, self.ALPHABET))
+        object.__setattr__(self, "loop", _widen(self.loop, self.ALPHABET))
+        if slp.length(self.loop) == 0:
+            raise MalformedPair(f"{self.KIND} pair needs a nonempty loop")
+
+    def sequence(self, n: int) -> str:
+        """First n characters of prefix.loop^omega, expanding only what is needed."""
+        plen = slp.length(self.prefix)
+        if n <= plen:
+            return slp.expand(slp.slice(self.prefix, 0, n), n) if n else ""
+        pre = slp.expand(self.prefix, plen) if plen else ""
+        llen = slp.length(self.loop)
+        need = n - plen
+        if llen > need:
+            return pre + slp.expand(slp.slice(self.loop, 0, need), need)
+        body = slp.expand(self.loop, llen)
+        return pre + body * (need // llen) + body[: need % llen]
+
+    @property
+    def size(self) -> int:
+        return slp.size(self.prefix) + slp.size(self.loop)
+
+
+class IndicatorPair(_Pair):
     """Programs for the prefix and the loop of a characteristic sequence."""
 
-    prefix: Slp
-    loop: Slp
-
-    def __post_init__(self):
-        object.__setattr__(self, "prefix", _widen(self.prefix, BIT_ALPHABET))
-        object.__setattr__(self, "loop", _widen(self.loop, BIT_ALPHABET))
-        if slp.length(self.loop) == 0:
-            raise MalformedPair("indicator pair needs a nonempty loop")
-
-    def sequence(self, n: int) -> str:
-        """First n characters of prefix.loop^omega (the oracle view)."""
-        return _sequence(self.prefix, self.loop, n)
-
-    @property
-    def size(self) -> int:
-        return slp.size(self.prefix) + slp.size(self.loop)
+    KIND = "indicator"
+    ALPHABET = BIT_ALPHABET
 
 
-@dataclass(frozen=True)
-class TranscriptPair:
+class TranscriptPair(_Pair):
     """Programs for the prefix and the loop of a computation's event stream."""
 
-    prefix: Slp
-    loop: Slp
-
-    def __post_init__(self):
-        object.__setattr__(self, "prefix", _widen(self.prefix, EVENT_ALPHABET))
-        object.__setattr__(self, "loop", _widen(self.loop, EVENT_ALPHABET))
-        if slp.length(self.loop) == 0:
-            raise MalformedPair("transcript pair needs a nonempty loop")
-
-    def sequence(self, n: int) -> str:
-        return _sequence(self.prefix, self.loop, n)
-
-    @property
-    def size(self) -> int:
-        return slp.size(self.prefix) + slp.size(self.loop)
+    KIND = "transcript"
+    ALPHABET = EVENT_ALPHABET
 
 
 # ---------------------------------------------------------------------------
@@ -282,13 +276,14 @@ def indicator_to_udpda(ip: IndicatorPair, tight_stack: bool = False) -> NormalUd
 class TranscriptWorkspace:
     """State of the transcript dynamic program.
 
-    Partial maps from states to states: exit points of returning states
-    (with a nonterminal for the return segment's events), horizontal
-    successors (with the segment's events), pending push targets, and the
-    set of states certified to never return, each with prefix/loop
-    nonterminals for its infinite event stream.  The maps' domains,
-    together with the non-returning set, partition the state set at all
-    times, and every vertex keeps out-degree at most one.
+    One map per domain: `exit` sends each returning state to its exit point
+    and a nonterminal for the return segment's events; `edge` sends each
+    state with a pending edge to the edge's target and events, where the
+    states in `pushing` still have their push edge and the others a
+    horizontal successor; `nonret` sends each state certified to never
+    return to prefix/loop nonterminals for its infinite event stream.  The
+    three domains partition the state set at all times, and every vertex
+    keeps out-degree at most one.
     """
 
     def __init__(self, machine: NormalUdpda, check_invariants: bool = False):
@@ -304,50 +299,30 @@ class TranscriptWorkspace:
             if q in machine.reading:
                 rhs.append("a")
             self.v[q] = st.add(tuple(rhs))
-        self.exit_point: dict[str, str] = {}
-        self.exit_nt: dict[str, str] = {}
-        self.horiz: dict[str, str] = {}
-        self.horiz_nt: dict[str, str] = {}
-        self.push_succ: dict[str, str] = {}
-        self.nonret: set[str] = set()
-        self.nonret_pre: dict[str, str] = {}
-        self.nonret_loop: dict[str, str] = {}
+        self.exit: dict[str, tuple[str, str]] = {}
+        self.edge: dict[str, tuple[str, str]] = {}
+        self.nonret: dict[str, tuple[str, str]] = {}
         for q, _gamma in sorted(machine.pop):
-            if q not in self.exit_point:
-                self.exit_point[q] = q
-                self.exit_nt[q] = st.add(())
+            if q not in self.exit:
+                self.exit[q] = (q, st.add(()))
         for q in sorted(machine.internal):
-            self.horiz[q] = machine.internal[q]
-            self.horiz_nt[q] = self.v[q]
+            self.edge[q] = (machine.internal[q], self.v[q])
         for q in sorted(machine.push):
-            self.push_succ[q] = machine.push[q][0]
+            self.edge[q] = (machine.push[q][0], self.v[q])
+        self.pushing = set(machine.push)
         self._preds: dict[str, set[str]] = {}
-        for q, t in self.horiz.items():
-            self._preds.setdefault(t, set()).add(q)
-        for q, t in self.push_succ.items():
+        for q, (t, _nt) in self.edge.items():
             self._preds.setdefault(t, set()).add(q)
         self._watch = None
 
     # -- bookkeeping -------------------------------------------------------
 
-    def _g_edge(self, q: str) -> tuple[str, str] | None:
-        """Target and event nonterminal of q's pending edge, if any."""
-        if q in self.horiz:
-            return self.horiz[q], self.horiz_nt[q]
-        if q in self.push_succ:
-            return self.push_succ[q], self.v[q]
-        return None
-
-    def _drop_edge(self, q: str) -> str:
-        """Remove q's pending edge; returns its event nonterminal."""
-        if q in self.horiz:
-            t = self.horiz.pop(q)
-            nt = self.horiz_nt.pop(q)
-        else:
-            t = self.push_succ.pop(q)
-            nt = self.v[q]
+    def _drop_edge(self, q: str) -> tuple[str, str]:
+        """Remove q's pending edge; returns its target and event nonterminal."""
+        t, nt = self.edge.pop(q)
+        self.pushing.discard(q)
         self._preds[t].discard(q)
-        return nt
+        return t, nt
 
     def _checked(self, rule: str):
         if self.check_invariants:
@@ -357,100 +332,82 @@ class TranscriptWorkspace:
 
     def apply_r1(self, q: str):
         """Edge into a non-returning state: q is non-returning as well."""
-        target = self.horiz.get(q) or self.push_succ.get(q)
-        nt = self._drop_edge(q)
-        self.nonret.add(q)
-        self.nonret_pre[q] = self.store.add((nt, self.nonret_pre[target]))
-        self.nonret_loop[q] = self.nonret_loop[target]
+        target, nt = self._drop_edge(q)
+        pre, loop = self.nonret[target]
+        self.nonret[q] = (self.store.add((nt, pre)), loop)
         self._checked("R1")
 
     def apply_r2(self, q: str):
         """Horizontal edge into a returning state: q returns through it."""
-        target = self.horiz[q]
-        nt = self._drop_edge(q)
-        self.exit_point[q] = self.exit_point[target]
-        self.exit_nt[q] = self.store.add((nt, self.exit_nt[target]))
+        target, nt = self._drop_edge(q)
+        q2, seg = self.exit[target]
+        self.exit[q] = (q2, self.store.add((nt, seg)))
         self._checked("R2")
 
     def apply_r3(self, q: str):
         """Push edge into a returning state: q gets a horizontal successor,
         reached by pushing, returning, and popping the pushed symbol."""
-        target = self.push_succ[q]
-        self._drop_edge(q)
+        target, _nt = self._drop_edge(q)
         gamma = self.machine.push[q][1]
-        q2 = self.exit_point[target]
+        q2, seg = self.exit[target]
         landing = self.machine.pop[(q2, gamma)]
-        self.horiz[q] = landing
-        self.horiz_nt[q] = self.store.add((self.v[q], self.exit_nt[target], self.v[q2]))
+        self.edge[q] = (landing, self.store.add((self.v[q], seg, self.v[q2])))
         self._preds.setdefault(landing, set()).add(q)
         self._checked("R3")
 
     def apply_r4(self, cycle: list[str]):
         """A simple cycle of pending edges: everything on it loops forever."""
-        nts = {q: self._g_edge(q)[1] for q in cycle}
-        loop_nt = self.store.add(tuple(nts[q] for q in cycle))
-        for q in cycle:
-            self._drop_edge(q)
-            self.nonret.add(q)
-            self.nonret_loop[q] = loop_nt
-        self.nonret_pre[cycle[-1]] = nts[cycle[-1]]
+        nts = [self._drop_edge(q)[1] for q in cycle]
+        loop_nt = self.store.add(tuple(nts))
+        pre = nts[-1]
+        self.nonret[cycle[-1]] = (pre, loop_nt)
         for i in range(len(cycle) - 2, -1, -1):
-            self.nonret_pre[cycle[i]] = self.store.add(
-                (nts[cycle[i]], self.nonret_pre[cycle[i + 1]])
-            )
+            pre = self.store.add((nts[i], pre))
+            self.nonret[cycle[i]] = (pre, loop_nt)
         self._checked("R4")
 
     # -- scheduling --------------------------------------------------------
 
-    def _settle(self, q: str, queue: list[str]):
+    def _settle(self, q: str, queue: deque[str]):
         """Eagerly apply R1/R2/R3 to q while its pending target is resolved."""
-        while True:
-            edge = self._g_edge(q)
-            if edge is None:
-                return
-            target = edge[0]
+        while q in self.edge:
+            target = self.edge[q][0]
             if target in self.nonret:
                 self.apply_r1(q)
                 queue.append(q)
                 return
-            if target in self.exit_point:
-                if q in self.horiz:
-                    self.apply_r2(q)
-                    queue.append(q)
-                    return
-                self.apply_r3(q)  # q is now horizontal; re-examine its new target
-            else:
+            if target not in self.exit:
                 return
+            if q not in self.pushing:
+                self.apply_r2(q)
+                queue.append(q)
+                return
+            self.apply_r3(q)  # q is now horizontal; re-examine its new target
 
     def run_main_stage(self):
         """Apply the rules to exhaustion with a deterministic worklist."""
-        queue = sorted(self.exit_point)
+        queue = deque(sorted(self.exit))
         while True:
             while queue:
-                q = queue.pop(0)
-                for p in sorted(self._preds.get(q, set())):
+                q = queue.popleft()
+                for p in sorted(self._preds.get(q, ())):
                     self._settle(p, queue)
-            pending = sorted(set(self.horiz) | set(self.push_succ))
-            if not pending:
-                break
-            queue.extend(self._find_cycle(pending))
-        # Termination claim: once no rule applies, no pending edges remain.
-        assert not self.horiz and not self.push_succ
+            if not self.edge:
+                return
+            queue.extend(self._find_cycle())
 
-    def _find_cycle(self, pending: list[str]) -> list[str]:
+    def _find_cycle(self) -> list[str]:
         """Locate one simple cycle among pending edges and apply R4 to it."""
-        start = pending[0]
         seen: dict[str, int] = {}
         path: list[str] = []
-        q = start
+        q = min(self.edge)
         while q not in seen:
             seen[q] = len(path)
             path.append(q)
-            edge = self._g_edge(q)
-            assert edge is not None, "pending edge leads outside the pending set"
-            q = edge[0]
+            assert q in self.edge, "pending edge leads outside the pending set"
+            q = self.edge[q][0]
         cycle = path[seen[q]:]
-        pivot = min(range(len(cycle)), key=lambda i: cycle[i])
+        pivot = cycle.index(min(cycle))
         cycle = cycle[pivot:] + cycle[:pivot]
         self.apply_r4(cycle)
         return cycle
@@ -461,24 +418,22 @@ class TranscriptWorkspace:
         machine, st = self.machine, self.store
         q0 = machine.initial
         if q0 in self.nonret:
-            return self.nonret_pre[q0], self.nonret_loop[q0]
-        ebot_succ: dict[str, str] = {}
-        ebot_nt: dict[str, str] = {}
-        for q in sorted(self.exit_point):
-            q2 = self.exit_point[q]
-            ebot_succ[q] = machine.pop[(q2, machine.bottom)]
-            ebot_nt[q] = st.add((self.exit_nt[q], self.v[q2]))
+            return self.nonret[q0]
+        ebot: dict[str, tuple[str, str]] = {}
+        for q in sorted(self.exit):
+            q2, seg = self.exit[q]
+            ebot[q] = (machine.pop[(q2, machine.bottom)], st.add((seg, self.v[q2])))
         seq = [q0]
         index = {q0: 0}
         while True:
-            nxt = ebot_succ[seq[-1]]
+            nxt = ebot[seq[-1]][0]
             if nxt in self.nonret:
-                pre = st.add(tuple(ebot_nt[q] for q in seq) + (self.nonret_pre[nxt],))
-                return pre, self.nonret_loop[nxt]
+                pre, loop = self.nonret[nxt]
+                return st.add(tuple(ebot[q][1] for q in seq) + (pre,)), loop
             if nxt in index:
                 i = index[nxt]
-                pre = st.add(tuple(ebot_nt[q] for q in seq[:i]))
-                loop = st.add(tuple(ebot_nt[q] for q in seq[i:]))
+                pre = st.add(tuple(ebot[q][1] for q in seq[:i]))
+                loop = st.add(tuple(ebot[q][1] for q in seq[i:]))
                 return pre, loop
             index[nxt] = len(seq)
             seq.append(nxt)
@@ -507,7 +462,8 @@ def udpda_to_transcript(a: NormalUdpda, check_invariants: bool = False) -> Trans
 
 
 class _FusedImage:
-    """Bottom-up image of a program under the substitution af -> 1.
+    """Bottom-up image of a program over {a, f} under af -> 1, a -> 0 and
+    f -> empty, written into a store over {0, 1}.
 
     Works on the Chomsky normal form; a production N -> A B fuses when A's
     word ends with a and B's starts with f.  Variants that drop a leading f
@@ -537,9 +493,9 @@ class _FusedImage:
             return True, ((rhs[0], drop_f, True), (rhs[1], True, drop_a))
         return False, ((rhs[0], drop_f, False), (rhs[1], False, drop_a))
 
-    def image(self, name: str | None = None, drop_f: bool = False, drop_a: bool = False) -> str:
+    def image(self, drop_f: bool = False, drop_a: bool = False) -> str:
         # explicit work stack: grammars may be deeper than the recursion budget
-        goal = (self.axiom if name is None else name, drop_f, drop_a)
+        goal = (self.axiom, drop_f, drop_a)
         memo = self.memo
         stack = [goal]
         while stack:
@@ -551,7 +507,7 @@ class _FusedImage:
             if len(rhs) == 1:
                 sym = rhs[0]
                 assert not (key[1] and sym != "f") and not (key[2] and sym != "a")
-                memo[key] = self.st.add(() if (key[1] or key[2]) else (sym,))
+                memo[key] = self.st.add(("0",) if sym == "a" and not key[2] else ())
                 stack.pop()
                 continue
             fused, children = self._children(key)
@@ -585,39 +541,26 @@ def transcript_to_characteristic(tp: TranscriptPair) -> IndicatorPair:
     plen = slp.length(prefix)
     first_bit = slp.first_symbol(prefix if plen else loop) == "f"
 
-    st = slp._Store({"a", "f", "1"})
-    eps = st.add(())
+    st = slp._Store(BIT_ALPHABET)
     img_pre = _FusedImage(st, slp.to_cnf(prefix)) if plen else None
     img_loop = _FusedImage(st, slp.to_cnf(loop))
     loop_first = slp.first_symbol(loop)
     loop_last = slp.last_symbol(loop)
     pre_last = slp.last_symbol(prefix) if plen else None
 
-    if loop_first != "f":
-        u = img_pre.image() if img_pre else eps
-        w = img_loop.image()
-    elif loop_last == "a":
+    u = img_pre.image() if img_pre else st.add(())
+    w = img_loop.image()
+    if loop_first == "f" and loop_last == "a":
         # every junction fuses: the loop loses its leading f and trailing a
         w = st.add((img_loop.image(drop_f=True, drop_a=True), "1"))
         if pre_last == "a":
             u = st.add((img_pre.image(drop_a=True), "1"))
-        else:
-            u = st.add(((img_pre.image() if img_pre else eps), "f"))
-    else:
+    elif loop_first == "f" and pre_last == "a":
         # only the first junction can fuse
-        w = img_loop.image()
-        if pre_last == "a":
-            u = st.add((img_pre.image(drop_a=True), "1", img_loop.image(drop_f=True)))
-        else:
-            u = img_pre.image() if img_pre else eps
+        u = st.add((img_pre.image(drop_a=True), "1", img_loop.image(drop_f=True)))
 
-    to_bits = {"a": "0", "f": "", "1": "1"}
-    tail = slp.substitute(st.build(u), to_bits, BIT_ALPHABET)
-    head = slp.literal("1" if first_bit else "0", BIT_ALPHABET)
-    return IndicatorPair(
-        slp.concat(head, tail),
-        slp.substitute(st.build(w), to_bits, BIT_ALPHABET),
-    )
+    head = st.add(("1" if first_bit else "0",))
+    return IndicatorPair(st.build(st.add((head, u))), st.build(w))
 
 
 def udpda_to_indicator(a: RawUnpda | NormalUdpda, check_invariants: bool = False) -> IndicatorPair:
@@ -631,6 +574,11 @@ def udpda_to_indicator(a: RawUnpda | NormalUdpda, check_invariants: bool = False
 # Debug checks for the workspace invariants (used on small machines)
 
 
+def _events(machine: NormalUdpda, state: str) -> str:
+    """Events of one visit to a state: f if it is final, then a if it reads."""
+    return ("f" if state in machine.finals else "") + ("a" if state in machine.reading else "")
+
+
 def _segment_events(machine: NormalUdpda, q: str, stop: str, cap: int = 20000):
     """Events of the computation from (q, bottom) until a stop condition.
 
@@ -638,63 +586,30 @@ def _segment_events(machine: NormalUdpda, q: str, stop: str, cap: int = 20000):
     stop "height": until the first return to the starting height after at
     least one move.  Returns (end state, events) or None if cap is reached.
     """
-    stack = [machine.bottom]
     events: list[str] = []
-    state = q
-    for step in range(cap):
+    for step, (state, stack) in enumerate(udpda.steps(machine, q)):
+        if step == cap:
+            return None
         at_floor = len(stack) == 1
-        is_pop = state not in machine.internal and state not in machine.push
-        if stop == "return" and at_floor and is_pop:
+        if stop == "return" and at_floor and (state, machine.bottom) in machine.pop:
             return state, "".join(events)
         if stop == "height" and step > 0 and at_floor:
             return state, "".join(events)
-        if state in machine.finals:
-            events.append("f")
-        if state in machine.reading:
-            events.append("a")
-        if state in machine.internal:
-            state = machine.internal[state]
-        elif state in machine.push:
-            state, sym = machine.push[state]
-            stack.append(sym)
-        else:
-            top = stack[-1]
-            nxt = machine.pop[(state, top)]
-            if top != machine.bottom:
-                stack.pop()
-            state = nxt
-    return None
+        events.append(_events(machine, state))
 
 
 def _stream_events(machine: NormalUdpda, q: str, limit: int, cap: int = 20000):
     """First `limit` events of the infinite computation from (q, bottom),
     plus whether a pop state was ever seen at the bottom (i.e. q returns)."""
-    stack = [machine.bottom]
-    events: list[str] = []
-    state = q
+    events = ""
     returned = False
-    for _ in range(cap):
+    for _, (state, stack) in zip(range(cap), udpda.steps(machine, q)):
         if len(events) >= limit:
             break
-        is_pop = state not in machine.internal and state not in machine.push
-        if len(stack) == 1 and is_pop:
+        if len(stack) == 1 and (state, machine.bottom) in machine.pop:
             returned = True
-        if state in machine.finals:
-            events.append("f")
-        if state in machine.reading:
-            events.append("a")
-        if state in machine.internal:
-            state = machine.internal[state]
-        elif state in machine.push:
-            state, sym = machine.push[state]
-            stack.append(sym)
-        else:
-            top = stack[-1]
-            nxt = machine.pop[(state, top)]
-            if top != machine.bottom:
-                stack.pop()
-            state = nxt
-    return "".join(events[:limit]), returned
+        events += _events(machine, state)
+    return events[:limit], returned
 
 
 def check_workspace_invariants(ws: TranscriptWorkspace, rule: str):
@@ -705,10 +620,12 @@ def check_workspace_invariants(ws: TranscriptWorkspace, rule: str):
     """
     machine = ws.machine
     st = ws.store
-    dom_e, dom_h, dom_w = set(ws.exit_point), set(ws.horiz), set(ws.push_succ)
+    dom_e, dom_w = set(ws.exit), ws.pushing
+    dom_h = set(ws.edge) - dom_w
     # I1: the four domains partition the state set
-    assert dom_e | dom_h | dom_w | ws.nonret == machine.states, rule
-    assert len(dom_e) + len(dom_h) + len(dom_w) + len(ws.nonret) == len(machine.states), rule
+    assert dom_e | set(ws.edge) | set(ws.nonret) == machine.states, rule
+    assert len(dom_e) + len(ws.edge) + len(ws.nonret) == len(machine.states), rule
+    assert dom_w <= set(ws.edge), rule
     # Monotonicity: exits only grow, pending pushes only shrink
     if ws._watch is not None:
         old_e, old_w = ws._watch
@@ -720,23 +637,23 @@ def check_workspace_invariants(ws: TranscriptWorkspace, rule: str):
         if got is None:
             continue
         end, events = got
-        assert end == ws.exit_point[q], (rule, q)
-        assert events == st.expand_sym(ws.exit_nt[q], len(events) + 1), (rule, q)
+        assert end == ws.exit[q][0], (rule, q)
+        assert events == st.expand_sym(ws.exit[q][1], len(events) + 1), (rule, q)
     # I3: horizontal successors and segment transcripts
     for q in sorted(dom_h):
         got = _segment_events(machine, q, "height")
         if got is None:
             continue
         end, events = got
-        assert end == ws.horiz[q], (rule, q)
-        assert events == st.expand_sym(ws.horiz_nt[q], len(events) + 1), (rule, q)
+        assert end == ws.edge[q][0], (rule, q)
+        assert events == st.expand_sym(ws.edge[q][1], len(events) + 1), (rule, q)
     # I4: pending pushes point at the pushed-to state
     for q in sorted(dom_w):
-        assert machine.push[q][0] == ws.push_succ[q], (rule, q)
+        assert machine.push[q][0] == ws.edge[q][0], (rule, q)
     # I5: non-returning states and their infinite transcripts
     for q in sorted(ws.nonret):
-        pre = st.expand_sym(ws.nonret_pre[q], 10**6)
-        loop = st.expand_sym(ws.nonret_loop[q], 10**6)
+        pre = st.expand_sym(ws.nonret[q][0], 10**6)
+        loop = st.expand_sym(ws.nonret[q][1], 10**6)
         limit = min(len(pre) + 3 * max(len(loop), 1), 200)
         events, returned = _stream_events(machine, q, limit)
         assert not returned, (rule, q)
@@ -746,6 +663,9 @@ def check_workspace_invariants(ws: TranscriptWorkspace, rule: str):
 
 # ---------------------------------------------------------------------------
 # Pair file format
+
+
+_PAIR_KINDS = {cls.KIND: cls for cls in (IndicatorPair, TranscriptPair)}
 
 
 def parse_pair(text: str) -> IndicatorPair | TranscriptPair:
@@ -761,7 +681,7 @@ def parse_pair(text: str) -> IndicatorPair | TranscriptPair:
             if not stripped.startswith("kind:"):
                 raise FormatError(f"line {lineno}: expected 'kind:' header")
             kind = stripped[len("kind:"):].strip()
-            if kind not in ("indicator", "transcript"):
+            if kind not in _PAIR_KINDS:
                 raise FormatError(f"line {lineno}: unknown kind {kind!r}")
             continue
         if stripped == "---":
@@ -774,14 +694,12 @@ def parse_pair(text: str) -> IndicatorPair | TranscriptPair:
         raise FormatError("expected exactly one '---' separator")
     prefix = slp.parse_slp("\n".join(blocks[0]))
     loop = slp.parse_slp("\n".join(blocks[1]))
-    cls = IndicatorPair if kind == "indicator" else TranscriptPair
-    return cls(prefix, loop)
+    return _PAIR_KINDS[kind](prefix, loop)
 
 
 def format_pair(pair: IndicatorPair | TranscriptPair) -> str:
-    kind = "indicator" if isinstance(pair, IndicatorPair) else "transcript"
     return (
-        f"kind: {kind}\n"
+        f"kind: {pair.KIND}\n"
         + slp.format_slp(pair.prefix)
         + "---\n"
         + slp.format_slp(pair.loop)

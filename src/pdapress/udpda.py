@@ -144,14 +144,6 @@ class NormalUdpda:
         return len(self.states) * len(self.stack_alphabet)
 
 
-@dataclass(frozen=True)
-class Configuration:
-    """Control state plus stack, top first; the last symbol is the bottom."""
-
-    state: str
-    stack: tuple[str, ...]
-
-
 def _uniquify(name: str, taken: set[str]) -> str:
     candidate = name
     while candidate in taken:
@@ -243,29 +235,17 @@ def to_raw(a: NormalUdpda) -> RawUnpda:
     )
 
 
-def _trace(a: NormalUdpda, max_reads: int, fuel: int):
-    """Yield (state, letters consumed) for every configuration visited.
+def steps(a: NormalUdpda, q: str):
+    """Yield (state, stack) for every configuration of the computation from
+    (q, bottom), without end.
 
-    Stops after max_reads letters have been consumed, or as soon as the
-    machine is certified to never read again: a state revisited without an
-    intervening read, with the stack never dipping below its height at the
-    first visit, replays the same input-free segment forever.  Raises
-    FuelExhausted if `fuel` epsilon moves pass without a read or a
-    certificate (a backstop; the certificate fires on every genuine loop).
+    The stack (top at the end) is one live list that the next step mutates:
+    read what you need of it before resuming the generator.
     """
-    internal, push, pop = a.internal, a.push, a.pop
-    reading = a.reading
-    bottom = a.bottom
-    warmup = 4 * len(a.states) + 16
-
-    q = a.initial
-    stack = [bottom]  # top at the end
-    consumed = 0
-    eps_run = 0
-    tracker: dict[str, list[int]] | None = None
+    internal, push, pop, bottom = a.internal, a.push, a.pop, a.bottom
+    stack = [bottom]
     while True:
-        yield q, consumed
-        reads = q in reading
+        yield q, stack
         nxt = internal.get(q)
         if nxt is not None:
             q = nxt
@@ -274,17 +254,39 @@ def _trace(a: NormalUdpda, max_reads: int, fuel: int):
             stack.append(sym)
         else:
             top = stack[-1]
-            q2 = pop[(q, top)]
+            q = pop[(q, top)]
             if top != bottom:
                 stack.pop()
-            q = q2
-        if reads:
+
+
+def _trace(a: NormalUdpda, max_reads: int, fuel: int):
+    """Yield (state, letters consumed) for every configuration visited.
+
+    Stops after max_reads letters have been consumed, or as soon as the
+    machine is certified to never read again: a state revisited without an
+    intervening read replays the same input-free segment forever when the
+    stack never dipped below its height h at the first visit (so the
+    segment never looked below its own pushes) and, if h is 1, the revisit
+    is at height 1 too (the segment may have inspected the bottom symbol,
+    so only the identical configuration repeats).  Raises FuelExhausted if
+    `fuel` epsilon moves pass without a read or a certificate (a backstop;
+    the certificate fires on every genuine loop).
+    """
+    reading = a.reading
+    warmup = 4 * len(a.states) + 16
+
+    consumed = 0
+    eps_run = 0
+    tracker: dict[str, list[int]] | None = None
+    prev = None
+    for q, stack in steps(a, a.initial):
+        if prev in reading:
             consumed += 1
             if consumed >= max_reads:
                 return
             eps_run = 0
             tracker = None
-        else:
+        elif prev is not None:
             eps_run += 1
             if eps_run == warmup:
                 tracker = {}
@@ -295,7 +297,7 @@ def _trace(a: NormalUdpda, max_reads: int, fuel: int):
                         entry[1] = h
                 entry = tracker.get(q)
                 if entry is not None:
-                    if entry[1] >= entry[0]:
+                    if entry[1] >= entry[0] and (entry[0] > 1 or h == 1):
                         return  # certified: no further input is ever read
                     entry[0] = entry[1] = h
                 else:
@@ -304,6 +306,8 @@ def _trace(a: NormalUdpda, max_reads: int, fuel: int):
                 raise FuelExhausted(
                     f"{fuel} epsilon moves without a read or a loop certificate"
                 )
+        yield q, consumed
+        prev = q
 
 
 def run_prefix(a: NormalUdpda, n: int, fuel: int = DEFAULT_FUEL) -> str:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from pdapress import slp, translate, udpda
+from pdapress import cli, slp, translate, udpda
 from pdapress.cli import main
 
 
@@ -142,6 +142,16 @@ class TestConvertRoundTrips:
         cfg = intexpr.parse_cfg(g.read_text())
         assert intexpr.cfg_membership_unary(cfg, 5)
 
+    def test_pair_kind_mismatch_exit_2(self, files, capsys, tmp_path):
+        tpath = tmp_path / "even.tpair"
+        ipath = tmp_path / "even.ipair"
+        run(capsys, "convert", "udpda-to-transcript", files / "even.updpa", "-o", tpath)
+        run(capsys, "convert", "udpda-to-indicator", files / "even.updpa", "-o", ipath)
+        code, _, err = run(capsys, "convert", "indicator-to-udpda", tpath)
+        assert code == 2 and "expected an indicator pair" in err
+        code, _, err = run(capsys, "convert", "transcript-to-indicator", ipath)
+        assert code == 2 and "expected a transcript pair" in err
+
     def test_deterministic_outputs(self, files, capsys, tmp_path):
         out1 = tmp_path / "one.pair"
         out2 = tmp_path / "two.pair"
@@ -226,3 +236,15 @@ class TestCheckOutputs:
         bad.write_text(text)
         code, out, err = run(capsys, "slp", "compare", bad, files / "p101.slp")
         assert code == 2 and out == "" and problem in err
+
+
+class TestInternalError:
+    def test_crash_exits_4_not_no(self, files, capsys, monkeypatch):
+        def crash(args):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(cli, "cmd_sim", crash)
+        code, out, err = run(capsys, "sim", "member", files / "even.updpa", "2")
+        assert code == cli.EXIT_INTERNAL == 4
+        assert out == ""
+        assert err == "internal error: RecursionError: maximum recursion depth exceeded"

@@ -284,6 +284,20 @@ class TestPairFormat:
         assert isinstance(back, TranscriptPair)
         assert back.sequence(40) == tp.sequence(40)
 
+    def test_parse_inverts_format(self):
+        for pair in (udpda_to_indicator(machine_even()), udpda_to_transcript(machine_even())):
+            assert translate.parse_pair(translate.format_pair(pair)) == pair
+
+    def test_kinds_never_compare_equal(self):
+        # no nonempty loop is valid for both kinds, so a transcript pair is
+        # given the indicator pair's very programs behind the constructor
+        ip = IndicatorPair(bits("1"), bits("01"))
+        tp = object.__new__(TranscriptPair)
+        object.__setattr__(tp, "prefix", ip.prefix)
+        object.__setattr__(tp, "loop", ip.loop)
+        assert ip != tp and tp != ip
+        assert ip == IndicatorPair(bits("1"), bits("01"))
+
     def test_bad_header(self):
         from pdapress.errors import FormatError
         with pytest.raises(FormatError):

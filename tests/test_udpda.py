@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from pdapress import udpda
+from pdapress import slp, translate, udpda
 from pdapress.errors import FormatError, FuelExhausted, NotDeterministic
 from pdapress.udpda import NormalUdpda, RawUnpda
 
@@ -151,6 +151,27 @@ class TestSimulation:
         # the stack grows forever; the certificate must fire, not the fuel
         m = machine_push_loop()
         assert udpda.run_prefix(m, 50, fuel=10**9) == "0" * 50
+
+    def test_certificate_needs_the_bottom_height_kept(self):
+        # a 2^8-step input-free prelude (longer than the certificate's
+        # warm-up) ends in a trap: q pops the bottom to p, p pushes G and
+        # returns to q, which now pops G into a final reading loop.  The
+        # revisit of q one symbol higher is no loop: its first visit saw
+        # the bottom symbol, the second sees G.
+        g = translate._slp_machine(slp.power(slp.literal("0"), 2**8), False, "s")
+        g.reading.clear()
+        g.pop[(g.sink, BOTTOM)] = "q"
+        g.pop_states.add("q")
+        g.pop[("q", BOTTOM)] = "p"
+        g.push["p"] = ("q", "G")
+        g.stack.add("G")
+        g.pop[("q", "G")] = "r"
+        g.internal["r"] = "r"
+        g.reading.add("r")
+        g.finals.add("r")
+        m = translate._assemble(g)
+        assert udpda.run_prefix(m, 12) == "1" * 12
+        assert translate.udpda_to_indicator(m).sequence(12) == "1" * 12
 
     def test_fuel_backstop(self):
         # a 300-step silent chain ending at a final reading state, with fuel
