@@ -2,12 +2,12 @@
 
 Verdict verbs print yes/no (plus a witness where applicable) and exit with
 0 for yes/holds, 1 for no/fails, 3 when a componentwise check ran out of
-its work budget (aligned blocks examined, never more than positions);
-input and parse errors exit with 2, and any other failure (an internal
-error, which is never a verdict) exits with 4.  With --json a machine-readable object
-carrying verdict, witness, sizes and timing is printed instead; for
-componentwise checks it also carries the blocks visited and the length of
-the prefix checked clean.
+its work budget (aligned blocks examined, never more than positions) or
+the simulator ran out of fuel; input and parse errors exit with 2, and any
+other failure (an internal error, which is never a verdict) exits with 4.
+With --json a machine-readable object carrying verdict, witness, sizes and
+timing is printed instead; for componentwise checks it also carries the
+blocks visited and the length of the prefix checked clean.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import time
 from pathlib import Path
 
 from . import compare, decide, intexpr, reductions, slp, translate, udpda
-from .errors import ToolError
+from .errors import FuelExhausted, ToolError
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -95,13 +95,13 @@ def cmd_convert(args) -> int:
     verb = args.what
     if verb == "slp-to-udpda":
         p = slp.parse_slp(_read(args.inputs[0]))
-        machine = translate.slp_to_udpda(p, args.tight_stack)
+        machine = translate.slp_to_udpda(p)
         _write(args, udpda.format_udpda(udpda.to_raw(machine)))
     elif verb == "indicator-to-udpda":
         pair = translate.parse_pair(_read(args.inputs[0]))
         if not isinstance(pair, translate.IndicatorPair):
             raise ToolError("expected an indicator pair file")
-        machine = translate.indicator_to_udpda(pair, args.tight_stack)
+        machine = translate.indicator_to_udpda(pair)
         _write(args, udpda.format_udpda(udpda.to_raw(machine)))
     elif verb in ("udpda-to-indicator", "udpda-to-transcript"):
         machine = _load_machine(args.inputs[0])
@@ -214,7 +214,7 @@ def cmd_gen(args) -> int:
         p1 = slp.parse_slp(_read(args.inputs[0]))
         p2 = slp.parse_slp(_read(args.inputs[1]))
         p0 = slp.parse_slp(_read(args.inputs[2]))
-        a1, a2 = reductions.gen_compslp_to_inclusion(p1, p2, p0, args.tight_stack)
+        a1, a2 = reductions.gen_compslp_to_inclusion(p1, p2, p0)
         if args.output is None:
             raise ToolError("gen verbs with two outputs require -o BASE")
         _write(args, udpda.format_udpda(udpda.to_raw(a1)), suffix=".1.updpa")
@@ -235,10 +235,13 @@ def cmd_sim(args) -> int:
     started = time.monotonic()
     machine = _load_machine(args.inputs[0])
     n = int(args.inputs[1], 0)
-    if args.what == "prefix":
-        bits = udpda.run_prefix(machine, n)
-        return _emit_value(args, bits, started, bits=bits)
-    ok = udpda.membership_sim(machine, n)
+    try:
+        if args.what == "prefix":
+            bits = udpda.run_prefix(machine, n)
+            return _emit_value(args, bits, started, bits=bits)
+        ok = udpda.membership_sim(machine, n)
+    except FuelExhausted:
+        return _emit(args, "budget_exceeded", started=started)
     return _emit(args, "yes" if ok else "no", started=started)
 
 
@@ -258,7 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="expansion cap for exact word comparison")
     common.add_argument("--seed", type=int, default=0, help="fingerprint seed")
     common.add_argument("--tight-stack", action="store_true",
-                        help="bound the per-machine stack alphabet by a fan-out pass")
+                        help="no effect, kept for old command lines: machines "
+                             "always use a bounded stack alphabet")
 
     parser = argparse.ArgumentParser(
         prog="pda-press",

@@ -35,11 +35,9 @@ def compressed_membership(a: Machine, n: int) -> bool:
 
 
 def _all_of(p: Slp, bit: str) -> bool:
-    """Whether the generated word is bit repeated length-many times."""
-    n = slp.length(p)
-    if n == 0:
-        return True
-    return slp.equal(p, slp.power(slp.literal(bit, "01"), n))
+    """Whether the generated word is bit repeated length-many times; exact,
+    by counting the other bit."""
+    return slp.count(p, "1" if bit == "0" else "0") == 0
 
 
 def emptiness(a: Machine) -> bool:

@@ -168,7 +168,7 @@ def eval_up_to(expr: IntExpr, bound: int) -> int:
         raise ValueError("bound must be non-negative")
     width = (1 << (bound + 1)) - 1
     if isinstance(expr, Const):
-        return (1 << expr.value) & width
+        return 1 << expr.value if expr.value <= bound else 0
     if isinstance(expr, Union):
         return eval_up_to(expr.left, bound) | eval_up_to(expr.right, bound)
     if isinstance(expr, Sum):

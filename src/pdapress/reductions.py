@@ -116,9 +116,7 @@ def gen_subsetsum_to_compslp(inst: SubsetSumInstance) -> tuple[Slp, Slp]:
     return p1, p2
 
 
-def gen_compslp_to_inclusion(
-    p1: Slp, p2: Slp, p0: Slp, tight_stack: bool = False
-) -> tuple[NormalUdpda, NormalUdpda]:
+def gen_compslp_to_inclusion(p1: Slp, p2: Slp, p0: Slp) -> tuple[NormalUdpda, NormalUdpda]:
     """Machines whose language inclusion mirrors the componentwise comparison.
 
     Both words get the same loop program p0, each pair becomes a machine,
@@ -128,8 +126,8 @@ def gen_compslp_to_inclusion(
         raise LengthMismatch(
             f"lengths {slp.length(p1)} and {slp.length(p2)} differ"
         )
-    a1 = indicator_to_udpda(IndicatorPair(p1, p0), tight_stack)
-    a2 = indicator_to_udpda(IndicatorPair(p2, p0), tight_stack)
+    a1 = indicator_to_udpda(IndicatorPair(p1, p0))
+    a2 = indicator_to_udpda(IndicatorPair(p2, p0))
     return a1, a2
 
 

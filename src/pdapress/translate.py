@@ -92,7 +92,7 @@ class TranscriptPair(_Pair):
 # Programs to machines
 
 
-def _reduce_fanout(prods: dict[str, tuple[str, ...]], alphabet) -> dict[str, tuple[str, ...]]:
+def _reduce_fanout(prods: dict[str, tuple[str, ...]]) -> dict[str, tuple[str, ...]]:
     """Copy-tree pass: afterwards every nonterminal occurs at most twice
     on right-hand sides, at the cost of identity productions."""
     out = dict(prods)
@@ -101,7 +101,7 @@ def _reduce_fanout(prods: dict[str, tuple[str, ...]], alphabet) -> dict[str, tup
         occ: dict[str, list[tuple[str, int]]] = {}
         for parent in sorted(out):
             for pos, sym in enumerate(out[parent]):
-                if sym not in alphabet:
+                if sym not in BIT_ALPHABET:
                     occ.setdefault(sym, []).append((parent, pos))
         busy = sorted(n for n, slots in occ.items() if len(slots) > 2)
         if not busy:
@@ -119,57 +119,37 @@ def _reduce_fanout(prods: dict[str, tuple[str, ...]], alphabet) -> dict[str, tup
 
 
 class _Gadgets:
-    """Partially built machine for one program; pops are not yet total."""
+    """Partially built machine: gadgets for one or more programs, whose
+    pops are not yet total."""
 
     def __init__(self):
         self.internal: dict[str, str] = {}
         self.push: dict[str, tuple[str, str]] = {}
         self.pop: dict[tuple[str, str], str] = {}
-        self.pop_states: set[str] = set()
         self.reading: set[str] = set()
         self.finals: set[str] = set()
         self.stack: set[str] = set()
-        self.initial = ""
-        self.sink = ""
 
 
-def _slp_machine(p: Slp, tight_stack: bool, ns: str) -> _Gadgets:
-    """Gadget-per-nonterminal machine for a program over {0, 1}.
+def _slp_machine(g: _Gadgets, p: Slp, ns: str) -> tuple[str, str]:
+    """Add the gadget-per-nonterminal machine for a program over {0, 1} to
+    g; returns the axiom's entry and exit states.
 
     Each nonterminal N gets an entry state and an exit state; the exit state
     only has outgoing pop moves.  A terminal production becomes a reading
-    internal edge whose exit is final iff the symbol is 1; a binary
-    production pushes a return marker per child.  With tight_stack, a
-    fan-out reduction pass caps the markers at two per machine.
+    internal edge whose exit is final iff the symbol is 1; any other
+    production pushes a return marker per child.  A fan-out reduction pass
+    first makes every nonterminal occur at most twice, so the k-th
+    occurrence pushes marker k and the program needs two markers in all.
     """
     if not p.alphabet <= BIT_ALPHABET:
         raise ValueError("machine construction expects a program over {0, 1}")
     if slp.length(p) == 0:
         raise EmptyWord("cannot build a machine for the empty word")
-    prods = slp.to_cnf(p).productions
-    if tight_stack:
-        prods = _reduce_fanout(prods, BIT_ALPHABET)
-        slot_index: dict[tuple[str, int], int] = {}
-        seen: dict[str, int] = {}
-        for parent in sorted(prods):
-            for pos, sym in enumerate(prods[parent]):
-                if sym in prods:
-                    slot_index[(parent, pos)] = seen.get(sym, 0)
-                    seen[sym] = seen.get(sym, 0) + 1
-
-        def slot_symbol(parent: str, pos: int) -> str:
-            return f"{ns}.g{slot_index[(parent, pos)] + 1}"
-
-    else:
-
-        def slot_symbol(parent: str, pos: int) -> str:
-            return f"{ns}.{parent}.{pos}"
-
-    g = _Gadgets()
+    prods = _reduce_fanout(slp.to_cnf(p).productions)
     entry = {n: f"{ns}.i.{n}" for n in prods}
     exit_ = {n: f"{ns}.o.{n}" for n in prods}
-    g.pop_states = set(exit_.values())
-    axiom = next(iter(prods))  # to_cnf puts the axiom first
+    seen: dict[str, int] = {}
     for name in sorted(prods):
         rhs = prods[name]
         if len(rhs) == 1 and rhs[0] in BIT_ALPHABET:
@@ -180,24 +160,24 @@ def _slp_machine(p: Slp, tight_stack: bool, ns: str) -> _Gadgets:
             continue
         prev = entry[name]
         for pos, child in enumerate(rhs):
-            sym = slot_symbol(name, pos)
+            seen[child] = seen.get(child, 0) + 1
+            sym = f"{ns}.g{seen[child]}"
             g.stack.add(sym)
             g.push[prev] = (entry[child], sym)
             landing = exit_[name] if pos == len(rhs) - 1 else f"{ns}.m.{name}.{pos}"
             g.pop[(exit_[child], sym)] = landing
             prev = landing
-    g.initial = entry[axiom]
-    g.sink = exit_[axiom]
-    return g
+    axiom = next(iter(prods))  # to_cnf puts the axiom first
+    return entry[axiom], exit_[axiom]
 
 
-def _assemble(g: _Gadgets, bottom: str = DEFAULT_BOTTOM) -> NormalUdpda:
+def _assemble(g: _Gadgets, initial: str, bottom: str = DEFAULT_BOTTOM) -> NormalUdpda:
     """Close a gadget bundle into a machine: add the dead state and make
-    every pop state total over the stack alphabet."""
+    every state with a pop move total over the stack alphabet."""
     stack_alphabet = frozenset(g.stack) | {bottom}
     g.internal["dead"] = "dead"
     g.reading.add("dead")
-    for q in sorted(g.pop_states):
+    for q in sorted({q for q, _ in g.pop}):
         for gamma in sorted(stack_alphabet):
             g.pop.setdefault((q, gamma), "dead")
     return NormalUdpda(
@@ -205,7 +185,7 @@ def _assemble(g: _Gadgets, bottom: str = DEFAULT_BOTTOM) -> NormalUdpda:
         push=g.push,
         pop=g.pop,
         reading=frozenset(g.reading),
-        initial=g.initial,
+        initial=initial,
         finals=frozenset(g.finals),
         stack_alphabet=stack_alphabet,
         bottom=bottom,
@@ -215,22 +195,22 @@ def _assemble(g: _Gadgets, bottom: str = DEFAULT_BOTTOM) -> NormalUdpda:
 HALT_STATE = "halt"
 
 
-def slp_to_udpda(p: Slp, tight_stack: bool = False) -> NormalUdpda:
+def slp_to_udpda(p: Slp) -> NormalUdpda:
     """Machine whose characteristic sequence is 0.str(p).0^omega.
 
     Past the axiom's exit sits a non-accepting sink (HALT_STATE) that reads
     input and pops the bottom symbol forever, so the machine reaches it with
     an empty stack after exactly |str p| reads and accepts nothing beyond.
     """
-    g = _slp_machine(_widen(p, BIT_ALPHABET), tight_stack, "s")
-    g.pop[(g.sink, DEFAULT_BOTTOM)] = HALT_STATE
-    g.pop_states.add(HALT_STATE)
+    g = _Gadgets()
+    entry, exit_ = _slp_machine(g, _widen(p, BIT_ALPHABET), "s")
+    g.pop[(exit_, DEFAULT_BOTTOM)] = HALT_STATE
     g.reading.add(HALT_STATE)
     g.pop[(HALT_STATE, DEFAULT_BOTTOM)] = HALT_STATE
-    return _assemble(g)
+    return _assemble(g, entry)
 
 
-def indicator_to_udpda(ip: IndicatorPair, tight_stack: bool = False) -> NormalUdpda:
+def indicator_to_udpda(ip: IndicatorPair) -> NormalUdpda:
     """Machine for the language whose characteristic sequence the pair generates.
 
     The first bit is split off and carried by a fresh initial state; the
@@ -245,28 +225,17 @@ def indicator_to_udpda(ip: IndicatorPair, tight_stack: bool = False) -> NormalUd
         b = slp.query(ip.loop, 0) == "1"
         tail = slp.slice(ip.loop, 1, slp.length(ip.loop))
 
-    gl = _slp_machine(ip.loop, tight_stack, "l")
-    parts = [gl]
-    if slp.length(tail):
-        parts.append(_slp_machine(tail, tight_stack, "p"))
     g = _Gadgets()
-    for part in parts:
-        g.internal.update(part.internal)
-        g.push.update(part.push)
-        g.pop.update(part.pop)
-        g.pop_states |= part.pop_states
-        g.reading |= part.reading
-        g.finals |= part.finals
-        g.stack |= part.stack
-    for part in parts:
-        # "last" states stop being sinks: an input-free edge re-enters the loop
-        g.pop_states.discard(part.sink)
-        g.internal[part.sink] = gl.initial
-    g.initial = "start"
-    g.internal["start"] = parts[-1].initial
+    loop_entry, loop_exit = _slp_machine(g, ip.loop, "l")
+    g.internal[loop_exit] = loop_entry
+    entry = loop_entry
+    if slp.length(tail):
+        entry, tail_exit = _slp_machine(g, tail, "p")
+        g.internal[tail_exit] = loop_entry
+    g.internal["start"] = entry
     if b:
         g.finals.add("start")
-    return _assemble(g)
+    return _assemble(g, "start")
 
 
 # ---------------------------------------------------------------------------

@@ -314,20 +314,16 @@ def run_prefix(a: NormalUdpda, n: int, fuel: int = DEFAULT_FUEL) -> str:
     """First n characteristic bits: bit i is 1 iff a final state is visited
     at some configuration reached after consuming exactly i letters.
 
-    Total: when the fuel backstop trips, the machine is declared
-    non-consuming from that point; the bit for the last consumed count keeps
-    the finals seen inside the input-free stretch, the rest stay 0.
+    Raises FuelExhausted, as membership_sim does, if `fuel` epsilon moves
+    pass without a read or a loop certificate.
     """
     bits = bytearray(n)
     if n == 0:
         return ""
     finals = a.finals
-    try:
-        for q, consumed in _trace(a, n, fuel):
-            if q in finals:
-                bits[consumed] = 1
-    except FuelExhausted:
-        pass
+    for q, consumed in _trace(a, n, fuel):
+        if q in finals:
+            bits[consumed] = 1
     return "".join("1" if b else "0" for b in bits)
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from pdapress import cli, slp, translate, udpda
 from pdapress.cli import main
+from pdapress.errors import FuelExhausted
 
 
 @pytest.fixture()
@@ -91,6 +92,16 @@ class TestSimAndSlp:
         assert run(capsys, "sim", "member", files / "even.updpa", "4")[0] == 0
         assert run(capsys, "sim", "member", files / "even.updpa", "5")[0] == 1
 
+    @pytest.mark.parametrize("what, simulator", [("prefix", "run_prefix"),
+                                                  ("member", "membership_sim")])
+    def test_sim_out_of_fuel_exit_3(self, files, capsys, monkeypatch, what, simulator):
+        def out_of_fuel(*args, **kwargs):
+            raise FuelExhausted("10 epsilon moves without a read or a loop certificate")
+
+        monkeypatch.setattr(udpda, simulator, out_of_fuel)
+        code, out, _ = run(capsys, "sim", what, files / "even.updpa", "6")
+        assert (code, out) == (3, "budget exceeded")
+
     def test_slp_len_query_equal(self, files, capsys):
         assert run(capsys, "slp", "len", files / "p101.slp")[1] == "3"
         assert run(capsys, "slp", "query", files / "p101.slp", "1")[1] == "0"
@@ -152,6 +163,24 @@ class TestConvertRoundTrips:
         code, _, err = run(capsys, "convert", "transcript-to-indicator", ipath)
         assert code == 2 and "expected a transcript pair" in err
 
+    def test_tight_stack_flag_has_no_effect(self, files, capsys, tmp_path):
+        pair = tmp_path / "p.pair"
+        pair.write_text(translate.format_pair(translate.IndicatorPair(
+            slp.literal("0110", "01"), slp.literal("101", "01"))))
+        runs = [("convert", "slp-to-udpda", files / "p101.slp"),
+                ("convert", "indicator-to-udpda", pair),
+                ("gen", "compslp-inclusion", files / "p101.slp", files / "p101.slp",
+                 files / "zero.slp")]
+        for i, argv in enumerate(runs):
+            plain, tight = tmp_path / f"plain{i}", tmp_path / f"tight{i}"
+            assert run(capsys, *argv, "-o", plain)[0] == 0
+            assert run(capsys, *argv, "-o", tight, "--tight-stack")[0] == 0
+            written = sorted(tmp_path.glob(f"plain{i}*"))
+            assert written
+            for path in written:
+                twin = tmp_path / path.name.replace("plain", "tight")
+                assert path.read_bytes() == twin.read_bytes()
+
     def test_deterministic_outputs(self, files, capsys, tmp_path):
         out1 = tmp_path / "one.pair"
         out2 = tmp_path / "two.pair"
@@ -195,6 +224,11 @@ class TestGen:
         e.write_text("2*")
         code, out, _ = run(capsys, "intexpr", "eval", e, "--bound", "7")
         assert (code, out) == (0, "0 2 4 6")
+
+    def test_intexpr_constant_above_bound(self, capsys, tmp_path):
+        e = tmp_path / "e.expr"
+        e.write_text("1000000000000 | 3")
+        assert run(capsys, "intexpr", "eval", e) == (0, "3", "")
 
     def test_missing_output_is_an_error(self, capsys):
         code, _, err = run(capsys, "gen", "lohrey", "--weights", "1", "--target", "1")

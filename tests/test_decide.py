@@ -54,6 +54,16 @@ class TestEmptinessUniversality:
         m101 = slp_to_udpda(bits("101"))
         assert not decide.emptiness(m101) and not decide.universality(m101)
 
+    def test_long_words_are_exact(self):
+        # 2^40 zeros, far beyond any expansion: the answer comes from
+        # counting ones, not from comparing words
+        zeros = slp.power(bits("0"), 2**40)
+        m = slp_to_udpda(zeros)
+        assert decide.emptiness(m) and not decide.universality(m)
+        m = slp_to_udpda(slp.concat(zeros, bits("1")))
+        assert not decide.emptiness(m) and not decide.universality(m)
+        assert decide.compressed_membership(m, 2**40 + 1)
+
     def test_cross_checks(self):
         rng = random.Random(61)
         loop = machine_loop()

@@ -26,7 +26,7 @@ def _machines():
         yield udpda.normalize(random_raw_udpda(rng))
     for _ in range(100):
         p = random_slp(rng, "01", min_len=1, max_len=300)
-        yield translate.slp_to_udpda(p, tight_stack=True)
+        yield translate.slp_to_udpda(p)
 
 
 def _transcripts():
@@ -53,7 +53,7 @@ def _outputs():
         pairs.append(pair)
         yield translate.format_pair(pair)
     for pair in pairs[::3]:
-        m = translate.indicator_to_udpda(pair, True)
+        m = translate.indicator_to_udpda(pair)
         yield udpda.format_udpda(udpda.to_raw(m))
 
 

@@ -71,23 +71,29 @@ class TestSlpToUdpda:
             assert reads == n
             assert stack == [m.bottom]
 
-    @pytest.mark.parametrize("tight", [False, True])
-    def test_state_count_linear(self, tight):
+    def test_state_count_linear(self):
         rng = random.Random(41)
         for _ in range(40):
             p = random_slp(rng, "01", min_len=1, max_len=2000)
-            m = slp_to_udpda(p, tight_stack=tight)
+            m = slp_to_udpda(p)
             assert len(m.states) <= 8 * slp.size(p) + 8
 
-    def test_tight_stack_alphabet_is_constant(self):
+    def test_stack_alphabet_is_constant(self):
         rng = random.Random(42)
         for _ in range(25):
             p = random_slp(rng, "01", min_len=1, max_len=2000)
-            m = slp_to_udpda(p, tight_stack=True)
+            m = slp_to_udpda(p)
             assert len(m.stack_alphabet) <= 3
             assert m.size <= 24 * slp.size(p) + 24  # |Q| x |Gamma| stays linear
             want = "0" + slp.expand(p, 2000) + "000"
             assert udpda.run_prefix(m, len(want)) == want
+        for _ in range(25):
+            pair = IndicatorPair(random_slp(rng, "01", max_prods=30, max_len=10**6),
+                                 random_slp(rng, "01", max_prods=30, min_len=1, max_len=10**6))
+            m = indicator_to_udpda(pair)
+            assert len(m.stack_alphabet) <= 5  # two markers per program, the bottom
+            assert m.size <= 80 * pair.size + 80
+            assert udpda.run_prefix(m, 3000) == pair.sequence(3000)
 
 
 class TestIndicatorToUdpda:

@@ -158,10 +158,10 @@ class TestSimulation:
         # returns to q, which now pops G into a final reading loop.  The
         # revisit of q one symbol higher is no loop: its first visit saw
         # the bottom symbol, the second sees G.
-        g = translate._slp_machine(slp.power(slp.literal("0"), 2**8), False, "s")
+        g = translate._Gadgets()
+        entry, exit_ = translate._slp_machine(g, slp.power(slp.literal("0"), 2**8), "s")
         g.reading.clear()
-        g.pop[(g.sink, BOTTOM)] = "q"
-        g.pop_states.add("q")
+        g.pop[(exit_, BOTTOM)] = "q"
         g.pop[("q", BOTTOM)] = "p"
         g.push["p"] = ("q", "G")
         g.stack.add("G")
@@ -169,14 +169,13 @@ class TestSimulation:
         g.internal["r"] = "r"
         g.reading.add("r")
         g.finals.add("r")
-        m = translate._assemble(g)
+        m = translate._assemble(g, entry)
         assert udpda.run_prefix(m, 12) == "1" * 12
         assert translate.udpda_to_indicator(m).sequence(12) == "1" * 12
 
     def test_fuel_backstop(self):
         # a 300-step silent chain ending at a final reading state, with fuel
-        # below its length: run_prefix stays total and declares it silent,
-        # membership raises
+        # below its length: both simulators report the exhausted fuel
         internal = {f"q{i}": f"q{i+1}" for i in range(300)}
         internal["q300"] = "q300"
         m = NormalUdpda(
@@ -184,7 +183,8 @@ class TestSimulation:
             reading=frozenset({"q300"}), initial="q0", finals=frozenset({"q300"}),
             stack_alphabet=frozenset({BOTTOM}), bottom=BOTTOM,
         )
-        assert udpda.run_prefix(m, 5, fuel=10) == "00000"
+        with pytest.raises(FuelExhausted):
+            udpda.run_prefix(m, 5, fuel=10)
         with pytest.raises(FuelExhausted):
             udpda.membership_sim(m, 3, fuel=10)
         # with enough fuel the chain is walked and the truth comes out
