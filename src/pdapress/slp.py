@@ -39,14 +39,13 @@ class Slp:
     :func:`validate` to check the invariants.
     """
 
-    __slots__ = ("alphabet", "productions", "axiom", "_topo_cache", "_len_cache")
+    __slots__ = ("alphabet", "productions", "axiom", "_len_cache")
 
     def __init__(self, alphabet: Iterable[str], productions, axiom: str):
         self.alphabet = frozenset(alphabet)
         items = productions.items() if isinstance(productions, dict) else productions
         self.productions = {name: tuple(rhs) for name, rhs in items}
         self.axiom = axiom
-        self._topo_cache = None
         self._len_cache = None
 
     def __eq__(self, other):
@@ -85,61 +84,47 @@ def validate(p: Slp) -> str | None:
         for sym in rhs:
             if sym not in p.alphabet and sym not in p.productions:
                 return f"missing production {sym}"
-    # Acyclicity by iterative depth-first search.
-    state: dict[str, int] = {}  # 1 = on stack, 2 = done
-    for root in p.productions:
-        if state.get(root):
-            continue
-        stack = [(root, 0)]
-        state[root] = 1
-        while stack:
-            name, i = stack[-1]
-            rhs = p.productions[name]
-            advanced = False
-            while i < len(rhs):
-                child = rhs[i]
-                i += 1
-                if child in p.alphabet or state.get(child) == 2:
-                    continue
-                if state.get(child) == 1:
-                    return f"cycle at {child}"
-                stack[-1] = (name, i)
-                stack.append((child, 0))
-                state[child] = 1
-                advanced = True
-                break
-            if not advanced:
-                state[name] = 2
-                stack.pop()
+    try:
+        _toposort(p, p.productions)
+    except ValueError as err:
+        return str(err)
     return None
 
 
 def _toposort(p: Slp, roots) -> list[str]:
-    """Children-first order of the productions reachable from roots."""
-    done: set[str] = set()
+    """Children-first order of the productions reachable from roots; a
+    cycle raises ValueError("cycle at X").
+
+    A right-hand side wider than two symbols is stepped over its distinct
+    symbols only, so a long literal costs one pass at C speed.
+    """
+    prods = p.productions
+    done = set(p.alphabet)  # terminals count as finished
     order: list[str] = []
+
+    def frame(name):
+        rhs = prods[name]
+        return name, rhs if len(rhs) < 3 else tuple(dict.fromkeys(rhs)), 0
+
     for root in roots:
-        if root in p.alphabet or root in done:
+        if root in done:
             continue
-        stack = [(root, 0)]
+        stack = [frame(root)]
         on_stack = {root}
         while stack:
-            name, i = stack[-1]
-            rhs = p.productions[name]
-            advanced = False
-            while i < len(rhs):
-                child = rhs[i]
+            name, kids, i = stack[-1]
+            while i < len(kids):
+                child = kids[i]
                 i += 1
-                if child in p.alphabet or child in done:
+                if child in done:
                     continue
                 if child in on_stack:
-                    raise ValueError(f"cyclic program (at {child})")
-                stack[-1] = (name, i)
-                stack.append((child, 0))
+                    raise ValueError(f"cycle at {child}")
+                stack[-1] = (name, kids, i)
+                stack.append(frame(child))
                 on_stack.add(child)
-                advanced = True
                 break
-            if not advanced:
+            else:
                 stack.pop()
                 on_stack.discard(name)
                 done.add(name)
@@ -149,11 +134,11 @@ def _toposort(p: Slp, roots) -> list[str]:
 
 def _all_lengths(p: Slp) -> dict[str, int]:
     if p._len_cache is None:
-        lens: dict[str, int] = {}
+        lens = dict.fromkeys(p.alphabet, 1)
         for name in _toposort(p, p.productions.keys()):
-            lens[name] = sum(
-                1 if s in p.alphabet else lens[s] for s in p.productions[name]
-            )
+            lens[name] = sum(map(lens.__getitem__, p.productions[name]))
+        for sym in p.alphabet:
+            del lens[sym]
         p._len_cache = lens
     return p._len_cache
 
@@ -530,17 +515,16 @@ def _random_prime(rng: random.Random) -> int:
 
 def _fingerprint(p: Slp, digits: Mapping[str, int], base: int, mod: int) -> int:
     """Generated word read as a base-|alphabet| number, modulo a prime."""
-    lens = _all_lengths(p)
-    vals: dict[str, int] = {}
+    # per nonterminal: (value, base ** length) modulo mod, bottom-up
+    vals: dict[str, tuple[int, int]] = {s: (d, base) for s, d in digits.items()}
     for name in _toposort(p, [p.axiom]):
-        v = 0
+        v, w = 0, 1
         for s in p.productions[name]:
-            if s in p.alphabet:
-                v = (v * base + digits[s]) % mod
-            else:
-                v = (v * pow(base, lens[s], mod) + vals[s]) % mod
-        vals[name] = v
-    return vals[p.axiom]
+            sv, sw = vals[s]
+            v = (v * sw + sv) % mod
+            w = w * sw % mod
+        vals[name] = (v, w)
+    return vals[p.axiom][0]
 
 
 def equal(

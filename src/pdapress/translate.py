@@ -14,11 +14,10 @@ pair over {0, 1}.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import ClassVar
 
-from . import slp, udpda
+from . import slp
 from .errors import EmptyWord, FormatError, MalformedPair
 from .slp import Slp
 from .udpda import DEFAULT_BOTTOM, NormalUdpda, RawUnpda, normalize
@@ -255,47 +254,32 @@ class TranscriptWorkspace:
     keeps out-degree at most one.
     """
 
-    def __init__(self, machine: NormalUdpda, check_invariants: bool = False):
+    def __init__(self, machine: NormalUdpda):
         self.machine = machine
-        self.check_invariants = check_invariants
         self.store = slp._Store(EVENT_ALPHABET)
         st = self.store
         self.v: dict[str, str] = {}
-        for q in sorted(machine.states):
+        for q in machine.states:
             rhs = []
             if q in machine.finals:
                 rhs.append("f")
             if q in machine.reading:
                 rhs.append("a")
             self.v[q] = st.add(tuple(rhs))
-        self.exit: dict[str, tuple[str, str]] = {}
+        empty = st.add(())
+        self.exit: dict[str, tuple[str, str]] = {q: (q, empty) for q, _gamma in machine.pop}
         self.edge: dict[str, tuple[str, str]] = {}
-        self.nonret: dict[str, tuple[str, str]] = {}
-        for q, _gamma in sorted(machine.pop):
-            if q not in self.exit:
-                self.exit[q] = (q, st.add(()))
-        for q in sorted(machine.internal):
-            self.edge[q] = (machine.internal[q], self.v[q])
-        for q in sorted(machine.push):
-            self.edge[q] = (machine.push[q][0], self.v[q])
+        for q, t in machine.internal.items():
+            self.edge[q] = (t, self.v[q])
+        for q, (t, _gamma) in machine.push.items():
+            self.edge[q] = (t, self.v[q])
         self.pushing = set(machine.push)
-        self._preds: dict[str, set[str]] = {}
-        for q, (t, _nt) in self.edge.items():
-            self._preds.setdefault(t, set()).add(q)
-        self._watch = None
-
-    # -- bookkeeping -------------------------------------------------------
+        self.nonret: dict[str, tuple[str, str]] = {}
 
     def _drop_edge(self, q: str) -> tuple[str, str]:
         """Remove q's pending edge; returns its target and event nonterminal."""
-        t, nt = self.edge.pop(q)
         self.pushing.discard(q)
-        self._preds[t].discard(q)
-        return t, nt
-
-    def _checked(self, rule: str):
-        if self.check_invariants:
-            check_workspace_invariants(self, rule)
+        return self.edge.pop(q)
 
     # -- the four rules ----------------------------------------------------
 
@@ -304,14 +288,12 @@ class TranscriptWorkspace:
         target, nt = self._drop_edge(q)
         pre, loop = self.nonret[target]
         self.nonret[q] = (self.store.add((nt, pre)), loop)
-        self._checked("R1")
 
     def apply_r2(self, q: str):
         """Horizontal edge into a returning state: q returns through it."""
         target, nt = self._drop_edge(q)
         q2, seg = self.exit[target]
         self.exit[q] = (q2, self.store.add((nt, seg)))
-        self._checked("R2")
 
     def apply_r3(self, q: str):
         """Push edge into a returning state: q gets a horizontal successor,
@@ -321,8 +303,6 @@ class TranscriptWorkspace:
         q2, seg = self.exit[target]
         landing = self.machine.pop[(q2, gamma)]
         self.edge[q] = (landing, self.store.add((self.v[q], seg, self.v[q2])))
-        self._preds.setdefault(landing, set()).add(q)
-        self._checked("R3")
 
     def apply_r4(self, cycle: list[str]):
         """A simple cycle of pending edges: everything on it loops forever."""
@@ -333,82 +313,79 @@ class TranscriptWorkspace:
         for i in range(len(cycle) - 2, -1, -1):
             pre = self.store.add((nts[i], pre))
             self.nonret[cycle[i]] = (pre, loop_nt)
-        self._checked("R4")
 
-    # -- scheduling --------------------------------------------------------
+    # -- the two stages ----------------------------------------------------
 
-    def _settle(self, q: str, queue: deque[str]):
-        """Eagerly apply R1/R2/R3 to q while its pending target is resolved."""
-        while q in self.edge:
-            target = self.edge[q][0]
-            if target in self.nonret:
-                self.apply_r1(q)
-                queue.append(q)
-                return
-            if target not in self.exit:
-                return
-            if q not in self.pushing:
-                self.apply_r2(q)
-                queue.append(q)
-                return
-            self.apply_r3(q)  # q is now horizontal; re-examine its new target
+    def main_stage(self):
+        """Resolve every pending edge by walking it.
 
-    def run_main_stage(self):
-        """Apply the rules to exhaustion with a deterministic worklist."""
-        queue = deque(sorted(self.exit))
-        while True:
-            while queue:
-                q = queue.popleft()
-                for p in sorted(self._preds.get(q, ())):
-                    self._settle(p, queue)
-            if not self.edge:
-                return
-            queue.extend(self._find_cycle())
-
-    def _find_cycle(self) -> list[str]:
-        """Locate one simple cycle among pending edges and apply R4 to it."""
-        seen: dict[str, int] = {}
-        path: list[str] = []
-        q = min(self.edge)
-        while q not in seen:
-            seen[q] = len(path)
-            path.append(q)
-            assert q in self.edge, "pending edge leads outside the pending set"
-            q = self.edge[q][0]
-        cycle = path[seen[q]:]
-        pivot = cycle.index(min(cycle))
-        cycle = cycle[pivot:] + cycle[:pivot]
-        self.apply_r4(cycle)
-        return cycle
+        Every state has out-degree at most one, so from a pending state the
+        edges form a single path.  It is followed until a resolved state;
+        unwinding applies R1, R2 or R3 to each state on it, and after R3
+        the walk goes on from the new target.  A path that meets itself
+        closes a cycle of pending edges, resolved by R4 from its least
+        state.  Each state is resolved once, from its target's final value.
+        """
+        for start in list(self.edge):
+            path: list[str] = []
+            on_path: dict[str, int] = {}
+            q = start
+            while True:
+                if q in self.edge and q not in on_path:
+                    on_path[q] = len(path)
+                    path.append(q)
+                    q = self.edge[q][0]
+                    continue
+                if q in on_path:
+                    cycle = path[on_path[q]:]
+                    del path[on_path[q]:]
+                    for s in cycle:
+                        del on_path[s]
+                    pivot = cycle.index(min(cycle))
+                    self.apply_r4(cycle[pivot:] + cycle[:pivot])
+                if not path:
+                    break
+                q = path[-1]  # its target is resolved
+                if self.edge[q][0] in self.nonret:
+                    self.apply_r1(q)
+                elif q not in self.pushing:
+                    self.apply_r2(q)
+                else:
+                    self.apply_r3(q)  # q is now horizontal: walk on from its landing
+                    q = self.edge[q][0]
+                    continue
+                path.pop()
+                del on_path[q]
 
     def bottom_stage(self) -> tuple[str, str]:
         """Chain return segments across bottom-symbol moves from the initial
         state; returns store names for the transcript's prefix and loop."""
         machine, st = self.machine, self.store
-        q0 = machine.initial
-        if q0 in self.nonret:
-            return self.nonret[q0]
-        ebot: dict[str, tuple[str, str]] = {}
-        for q in sorted(self.exit):
+        segs: list[str] = []
+        index: dict[str, int] = {}
+        q = machine.initial
+        while q not in self.nonret and q not in index:
+            index[q] = len(segs)
             q2, seg = self.exit[q]
-            ebot[q] = (machine.pop[(q2, machine.bottom)], st.add((seg, self.v[q2])))
-        seq = [q0]
-        index = {q0: 0}
-        while True:
-            nxt = ebot[seq[-1]][0]
-            if nxt in self.nonret:
-                pre, loop = self.nonret[nxt]
-                return st.add(tuple(ebot[q][1] for q in seq) + (pre,)), loop
-            if nxt in index:
-                i = index[nxt]
-                pre = st.add(tuple(ebot[q][1] for q in seq[:i]))
-                loop = st.add(tuple(ebot[q][1] for q in seq[i:]))
-                return pre, loop
-            index[nxt] = len(seq)
-            seq.append(nxt)
+            segs.append(st.add((seg, self.v[q2])))
+            q = machine.pop[(q2, machine.bottom)]
+        if q in self.nonret:
+            pre, loop = self.nonret[q]
+            return st.add((*segs, pre)), loop
+        return st.add(segs[: index[q]]), st.add(segs[index[q]:])
+
+    def transcript(self) -> TranscriptPair:
+        """Run both stages and build the transcript pair."""
+        self.main_stage()
+        pre_name, loop_name = self.bottom_stage()
+        prefix = self.store.build(pre_name)
+        loop = self.store.build(loop_name)
+        if slp.length(loop) == 0:
+            loop = slp.literal("a", EVENT_ALPHABET)
+        return TranscriptPair(prefix, loop)
 
 
-def udpda_to_transcript(a: NormalUdpda, check_invariants: bool = False) -> TranscriptPair:
+def udpda_to_transcript(a: NormalUdpda) -> TranscriptPair:
     """Pair of programs generating the event stream of the machine's unique
     infinite computation ('a' per consumed letter, 'f' per final-state visit).
 
@@ -416,14 +393,7 @@ def udpda_to_transcript(a: NormalUdpda, check_invariants: bool = False) -> Trans
     through non-final states), the stream is padded with 'a's; this leaves
     the induced characteristic sequence unchanged.
     """
-    ws = TranscriptWorkspace(a, check_invariants)
-    ws.run_main_stage()
-    pre_name, loop_name = ws.bottom_stage()
-    prefix = ws.store.build(pre_name)
-    loop = ws.store.build(loop_name)
-    if slp.length(loop) == 0:
-        loop = slp.literal("a", EVENT_ALPHABET)
-    return TranscriptPair(prefix, loop)
+    return TranscriptWorkspace(a).transcript()
 
 
 # ---------------------------------------------------------------------------
@@ -532,102 +502,11 @@ def transcript_to_characteristic(tp: TranscriptPair) -> IndicatorPair:
     return IndicatorPair(st.build(st.add((head, u))), st.build(w))
 
 
-def udpda_to_indicator(a: RawUnpda | NormalUdpda, check_invariants: bool = False) -> IndicatorPair:
+def udpda_to_indicator(a: RawUnpda | NormalUdpda) -> IndicatorPair:
     """Indicator pair for the machine's language (the full pipeline)."""
     if isinstance(a, RawUnpda):
         a = normalize(a)  # raises NotDeterministic on bad input
-    return transcript_to_characteristic(udpda_to_transcript(a, check_invariants))
-
-
-# ---------------------------------------------------------------------------
-# Debug checks for the workspace invariants (used on small machines)
-
-
-def _events(machine: NormalUdpda, state: str) -> str:
-    """Events of one visit to a state: f if it is final, then a if it reads."""
-    return ("f" if state in machine.finals else "") + ("a" if state in machine.reading else "")
-
-
-def _segment_events(machine: NormalUdpda, q: str, stop: str, cap: int = 20000):
-    """Events of the computation from (q, bottom) until a stop condition.
-
-    stop "return": until the first pop state with the stack at the bottom;
-    stop "height": until the first return to the starting height after at
-    least one move.  Returns (end state, events) or None if cap is reached.
-    """
-    events: list[str] = []
-    for step, (state, stack) in enumerate(udpda.steps(machine, q)):
-        if step == cap:
-            return None
-        at_floor = len(stack) == 1
-        if stop == "return" and at_floor and (state, machine.bottom) in machine.pop:
-            return state, "".join(events)
-        if stop == "height" and step > 0 and at_floor:
-            return state, "".join(events)
-        events.append(_events(machine, state))
-
-
-def _stream_events(machine: NormalUdpda, q: str, limit: int, cap: int = 20000):
-    """First `limit` events of the infinite computation from (q, bottom),
-    plus whether a pop state was ever seen at the bottom (i.e. q returns)."""
-    events = ""
-    returned = False
-    for _, (state, stack) in zip(range(cap), udpda.steps(machine, q)):
-        if len(events) >= limit:
-            break
-        if len(stack) == 1 and (state, machine.bottom) in machine.pop:
-            returned = True
-        events += _events(machine, state)
-    return events[:limit], returned
-
-
-def check_workspace_invariants(ws: TranscriptWorkspace, rule: str):
-    """Assert the documented invariants of the dynamic program.
-
-    Verified by bounded simulation, so this is only run on small machines;
-    segment checks that exceed the simulation cap are skipped.
-    """
-    machine = ws.machine
-    st = ws.store
-    dom_e, dom_w = set(ws.exit), ws.pushing
-    dom_h = set(ws.edge) - dom_w
-    # I1: the four domains partition the state set
-    assert dom_e | set(ws.edge) | set(ws.nonret) == machine.states, rule
-    assert len(dom_e) + len(ws.edge) + len(ws.nonret) == len(machine.states), rule
-    assert dom_w <= set(ws.edge), rule
-    # Monotonicity: exits only grow, pending pushes only shrink
-    if ws._watch is not None:
-        old_e, old_w = ws._watch
-        assert len(dom_e) >= old_e and len(dom_w) <= old_w, rule
-    ws._watch = (len(dom_e), len(dom_w))
-    # I2: exit points and return-segment transcripts
-    for q in sorted(dom_e):
-        got = _segment_events(machine, q, "return")
-        if got is None:
-            continue
-        end, events = got
-        assert end == ws.exit[q][0], (rule, q)
-        assert events == st.expand_sym(ws.exit[q][1], len(events) + 1), (rule, q)
-    # I3: horizontal successors and segment transcripts
-    for q in sorted(dom_h):
-        got = _segment_events(machine, q, "height")
-        if got is None:
-            continue
-        end, events = got
-        assert end == ws.edge[q][0], (rule, q)
-        assert events == st.expand_sym(ws.edge[q][1], len(events) + 1), (rule, q)
-    # I4: pending pushes point at the pushed-to state
-    for q in sorted(dom_w):
-        assert machine.push[q][0] == ws.edge[q][0], (rule, q)
-    # I5: non-returning states and their infinite transcripts
-    for q in sorted(ws.nonret):
-        pre = st.expand_sym(ws.nonret[q][0], 10**6)
-        loop = st.expand_sym(ws.nonret[q][1], 10**6)
-        limit = min(len(pre) + 3 * max(len(loop), 1), 200)
-        events, returned = _stream_events(machine, q, limit)
-        assert not returned, (rule, q)
-        want = pre + loop * ((limit - len(pre)) // max(len(loop), 1) + 1) if loop else pre
-        assert events == want[: len(events)], (rule, q)
+    return transcript_to_characteristic(udpda_to_transcript(a))
 
 
 # ---------------------------------------------------------------------------

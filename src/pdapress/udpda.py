@@ -77,16 +77,17 @@ def check_deterministic(a: RawUnpda) -> str | None:
     Otherwise a description of the first (state, top symbol) pair offering
     two moves or mixing a reading move with an epsilon move.
     """
-    by_key: dict[tuple[str, str], list[tuple]] = {}
-    for t in sorted(a.transitions):
-        by_key.setdefault((t[0], t[2]), []).append(t)
-    for (q, gamma), ts in sorted(by_key.items()):
-        if len(ts) > 1:
-            sigmas = {t[1] for t in ts}
-            if len(sigmas) > 1:
-                return f"state {q} on top {gamma} mixes a reading move with an epsilon move"
-            return f"state {q} on top {gamma} offers {len(ts)} moves"
-    return None
+    sigmas: dict[tuple[str, str], list[str]] = {}
+    for q, sigma, gamma, _q2, _push in a.transitions:
+        sigmas.setdefault((q, gamma), []).append(sigma)
+    clashes = [key for key, moves in sigmas.items() if len(moves) > 1]
+    if not clashes:
+        return None
+    q, gamma = min(clashes)
+    moves = sigmas[(q, gamma)]
+    if len(set(moves)) > 1:
+        return f"state {q} on top {gamma} mixes a reading move with an epsilon move"
+    return f"state {q} on top {gamma} offers {len(moves)} moves"
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import random
 
-from pdapress import slp
+from pdapress import slp, udpda
 from pdapress.slp import Slp
+from pdapress.translate import TranscriptPair, TranscriptWorkspace
 from pdapress.udpda import NormalUdpda, RawUnpda
 
 BOTTOM = "_"
@@ -178,6 +179,125 @@ def collect_events(a: NormalUdpda, max_events: int, max_steps: int = 100_000) ->
             events.append("a")
         q, _ = step_normal(a, q, stack)
     return "".join(events[:max_events])
+
+
+# ---------------------------------------------------------------------------
+# The transcript dynamic program, re-checked after every rule
+
+
+def _events(machine: NormalUdpda, state: str) -> str:
+    """Events of one visit to a state: f if it is final, then a if it reads."""
+    return ("f" if state in machine.finals else "") + ("a" if state in machine.reading else "")
+
+
+def _segment_events(machine: NormalUdpda, q: str, stop: str, cap: int = 20000):
+    """Events of the computation from (q, bottom) until a stop condition.
+
+    stop "return": until the first pop state with the stack at the bottom;
+    stop "height": until the first return to the starting height after at
+    least one move.  Returns (end state, events) or None if cap is reached.
+    """
+    events: list[str] = []
+    for step, (state, stack) in enumerate(udpda.steps(machine, q)):
+        if step == cap:
+            return None
+        at_floor = len(stack) == 1
+        if stop == "return" and at_floor and (state, machine.bottom) in machine.pop:
+            return state, "".join(events)
+        if stop == "height" and step > 0 and at_floor:
+            return state, "".join(events)
+        events.append(_events(machine, state))
+
+
+def _stream_events(machine: NormalUdpda, q: str, limit: int, cap: int = 20000):
+    """First `limit` events of the infinite computation from (q, bottom),
+    plus whether a pop state was ever seen at the bottom (i.e. q returns)."""
+    events = ""
+    returned = False
+    for _, (state, stack) in zip(range(cap), udpda.steps(machine, q)):
+        if len(events) >= limit:
+            break
+        if len(stack) == 1 and (state, machine.bottom) in machine.pop:
+            returned = True
+        events += _events(machine, state)
+    return events[:limit], returned
+
+
+def check_workspace_invariants(ws: TranscriptWorkspace, rule: str):
+    """Assert the documented invariants of the dynamic program.
+
+    Verified by bounded simulation, so this is only run on small machines;
+    segment checks that exceed the simulation cap are skipped.
+    """
+    machine = ws.machine
+    st = ws.store
+    dom_e, dom_w = set(ws.exit), ws.pushing
+    dom_h = set(ws.edge) - dom_w
+    # I1: the four domains partition the state set
+    assert dom_e | set(ws.edge) | set(ws.nonret) == machine.states, rule
+    assert len(dom_e) + len(ws.edge) + len(ws.nonret) == len(machine.states), rule
+    assert dom_w <= set(ws.edge), rule
+    # Monotonicity: exits only grow, pending pushes only shrink
+    if ws._watch is not None:
+        old_e, old_w = ws._watch
+        assert len(dom_e) >= old_e and len(dom_w) <= old_w, rule
+    ws._watch = (len(dom_e), len(dom_w))
+    # I2: exit points and return-segment transcripts
+    for q in sorted(dom_e):
+        got = _segment_events(machine, q, "return")
+        if got is None:
+            continue
+        end, events = got
+        assert end == ws.exit[q][0], (rule, q)
+        assert events == st.expand_sym(ws.exit[q][1], len(events) + 1), (rule, q)
+    # I3: horizontal successors and segment transcripts
+    for q in sorted(dom_h):
+        got = _segment_events(machine, q, "height")
+        if got is None:
+            continue
+        end, events = got
+        assert end == ws.edge[q][0], (rule, q)
+        assert events == st.expand_sym(ws.edge[q][1], len(events) + 1), (rule, q)
+    # I4: pending pushes point at the pushed-to state
+    for q in sorted(dom_w):
+        assert machine.push[q][0] == ws.edge[q][0], (rule, q)
+    # I5: non-returning states and their infinite transcripts
+    for q in sorted(ws.nonret):
+        pre = st.expand_sym(ws.nonret[q][0], 10**6)
+        loop = st.expand_sym(ws.nonret[q][1], 10**6)
+        limit = min(len(pre) + 3 * max(len(loop), 1), 200)
+        events, returned = _stream_events(machine, q, limit)
+        assert not returned, (rule, q)
+        want = pre + loop * ((limit - len(pre)) // max(len(loop), 1) + 1) if loop else pre
+        assert events == want[: len(events)], (rule, q)
+
+
+class CheckedWorkspace(TranscriptWorkspace):
+    """The library's workspace, with invariants I1-I5 and the monotonicity
+    of its domains re-checked by simulation after every rule."""
+
+    _watch = None  # (exit count, pending push count) after the last rule
+
+    def apply_r1(self, q: str):
+        super().apply_r1(q)
+        check_workspace_invariants(self, "R1")
+
+    def apply_r2(self, q: str):
+        super().apply_r2(q)
+        check_workspace_invariants(self, "R2")
+
+    def apply_r3(self, q: str):
+        super().apply_r3(q)
+        check_workspace_invariants(self, "R3")
+
+    def apply_r4(self, cycle: list[str]):
+        super().apply_r4(cycle)
+        check_workspace_invariants(self, "R4")
+
+
+def checked_transcript(a: NormalUdpda) -> TranscriptPair:
+    """udpda_to_transcript on the checked workspace (small machines only)."""
+    return CheckedWorkspace(a).transcript()
 
 
 # ---------------------------------------------------------------------------

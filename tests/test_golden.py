@@ -8,7 +8,11 @@ alters an output on purpose records the new digest here and says why.
 """
 
 import hashlib
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 from pdapress import slp, translate, udpda
 
@@ -67,3 +71,15 @@ def corpus_digest() -> str:
 
 def test_outputs_match_golden_digest():
     assert corpus_digest() == GOLDEN
+
+
+def test_digest_does_not_follow_hash_order():
+    # set iteration order, and with it the order of the translation's work,
+    # changes with the string hash seed; the outputs must not
+    path = os.pathsep.join([str(Path(slp.__file__).parents[1]), str(Path(__file__).parent)])
+    code = "import test_golden; print(test_golden.corpus_digest())"
+    for seed in ("0", "12345"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == GOLDEN, seed

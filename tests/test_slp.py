@@ -203,6 +203,20 @@ class TestEqual:
         assert slp.length(c) == slp.length(a)
         assert not slp.equal(a, c)
 
+    def test_fingerprint_is_the_word_as_a_number(self):
+        rng = random.Random(16)
+        for alphabet in ("01", "abc"):
+            digits = {sym: i for i, sym in enumerate(sorted(alphabet))}
+            base = len(alphabet)
+            for _ in range(60):
+                # wide and empty right-hand sides alike
+                p = random_slp(rng, alphabet, max_prods=10, max_arity=12, max_len=5000)
+                mod = slp._random_prime(rng)
+                want = 0
+                for sym in slp.expand(p, 5000):
+                    want = (want * base + digits[sym]) % mod
+                assert slp._fingerprint(p, digits, base, mod) == want
+
     def test_seed_parameter(self):
         a = slp.power(slp.literal("01"), 1 << 20)
         b = slp.power(slp.literal("01"), 1 << 20)
@@ -280,6 +294,21 @@ class TestProperties:
             word = slp.expand(p, 2000)
             assert slp.expand(slp.substitute(p, images), 2 * len(word) + 1) == \
                 "".join(images[c] for c in word)
+
+    def test_toposort_is_first_visit_postorder(self):
+        def postorder(p, name, seen, out):
+            for sym in p.productions[name]:
+                if sym not in p.alphabet and sym not in seen:
+                    seen.add(sym)
+                    postorder(p, sym, seen, out)
+            out.append(name)
+
+        rng = random.Random(17)
+        for _ in range(100):
+            p = random_slp(rng, "01", max_prods=10, max_arity=12, max_len=10**9)
+            want: list[str] = []
+            postorder(p, p.axiom, {p.axiom}, want)
+            assert slp._toposort(p, [p.axiom]) == want
 
     def test_cnf_preserves_word(self):
         rng = random.Random(14)

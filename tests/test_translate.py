@@ -20,6 +20,8 @@ from pdapress.translate import (
 
 from helpers import (
     BOTTOM,
+    CheckedWorkspace,
+    checked_transcript,
     collect_events,
     handcrafted_machines,
     machine_even,
@@ -130,13 +132,13 @@ class TestIndicatorToUdpda:
 
 class TestUdpdaToTranscript:
     def test_loop_machine(self):
-        tp = udpda_to_transcript(machine_loop(), check_invariants=True)
+        tp = checked_transcript(machine_loop())
         assert tp.sequence(20) == "fa" * 10
         assert tp.sequence(20) == collect_events(machine_loop(), 20)
 
     def test_even_machine(self):
         m = machine_even()
-        tp = udpda_to_transcript(m, check_invariants=True)
+        tp = checked_transcript(m)
         assert tp.sequence(50) == collect_events(m, 50)
 
     def test_consuming_machines_match_event_log(self):
@@ -150,12 +152,12 @@ class TestUdpdaToTranscript:
             log = collect_events(m, 50, max_steps=5000)
             if log.count("a") < 12:
                 continue
-            tp = udpda_to_transcript(m, check_invariants=True)
+            tp = checked_transcript(m)
             assert tp.sequence(len(log)) == log
             done += 1
 
     def test_push_loop_pair_is_well_formed(self):
-        tp = udpda_to_transcript(machine_push_loop(), check_invariants=True)
+        tp = checked_transcript(machine_push_loop())
         assert slp.length(tp.loop) >= 1
         assert transcript_to_characteristic(tp).sequence(6) == "000000"
 
@@ -163,7 +165,7 @@ class TestUdpdaToTranscript:
         rng = random.Random(45)
         for _ in range(40):
             m = random_normal_udpda(rng, max_states=10, max_stack=3)
-            udpda_to_transcript(m, check_invariants=True)
+            checked_transcript(m)
 
     def test_transcript_size_linear(self):
         rng = random.Random(46)
@@ -171,6 +173,66 @@ class TestUdpdaToTranscript:
             m = random_normal_udpda(rng)
             tp = udpda_to_transcript(m)
             assert tp.size <= 64 * len(m.states) + 64
+
+
+def normal(internal=(), push=(), pop=(), reading=(), finals=(), initial="q0"):
+    return udpda.NormalUdpda(
+        internal=dict(internal), push=dict(push), pop=dict(pop),
+        reading=frozenset(reading), initial=initial, finals=frozenset(finals),
+        stack_alphabet=frozenset({BOTTOM, "x"}), bottom=BOTTOM,
+    )
+
+
+class TestTranscriptWalk:
+    """Shapes of the pending-edge graph the main stage walks."""
+
+    def check(self, m, n=60):
+        tp = checked_transcript(m)
+        assert tp.sequence(n) == collect_events(m, n)
+
+    def test_long_tail_into_cycle(self):
+        tail = [f"t{i}" for i in range(12)]
+        ring = ["c0", "c1", "c2"]
+        path = tail + ring
+        internal = dict(zip(path, path[1:]))
+        internal["c2"] = "c0"
+        m = normal(internal, reading=path, finals={"t3", "t7", "c1"}, initial="t0")
+        self.check(m)
+
+    def test_cycle_closed_by_a_horizontal_edge(self):
+        # q0 pushes into the returning state r, whose landing q1 leads back
+        # to q0: the cycle q0 -> q1 -> q0 exists only after R3
+        m = normal(
+            internal={"s": "q1", "q1": "q0"},
+            push={"q0": ("r", "x")},
+            pop={("r", "x"): "q1", ("r", BOTTOM): "s"},
+            reading={"r", "q1"}, finals={"q0", "s"}, initial="s",
+        )
+        ws = CheckedWorkspace(m)
+        ws.main_stage()
+        assert set(ws.nonret) == {"s", "q0", "q1"} and set(ws.exit) == {"r"}
+        self.check(m)
+
+    @pytest.mark.parametrize("via_push", [False, True])
+    def test_self_loop(self, via_push):
+        if via_push:  # q0 pushes, returns through r and lands on itself
+            m = normal(internal={"s": "q0"}, push={"q0": ("r", "x")},
+                       pop={("r", "x"): "q0", ("r", BOTTOM): "r"},
+                       reading={"r"}, finals={"s", "q0"}, initial="s")
+        else:
+            m = normal(internal={"s": "q0", "q0": "q0"}, reading={"q0"},
+                       finals={"s", "q0"}, initial="s")
+        self.check(m)
+
+    def test_long_chain_into_a_pop_state(self):
+        # far deeper than the interpreter's recursion budget
+        chain = [f"c{i}" for i in range(20_000)]
+        internal = dict(zip(chain, chain[1:]))
+        internal[chain[-1]] = "p"
+        m = normal(internal, pop={("p", BOTTOM): "c0", ("p", "x"): "c0"},
+                   reading=chain[::2], finals=chain[::7], initial="c0")
+        n = 25_000
+        assert udpda_to_indicator(m).sequence(n) == udpda.run_prefix(m, n)
 
 
 class TestTranscriptToCharacteristic:
@@ -237,7 +299,8 @@ class TestTranscriptToCharacteristic:
 class TestFullPipeline:
     def test_handcrafted_round_trips(self):
         for label, m in handcrafted_machines():
-            pair = udpda_to_indicator(m, check_invariants=len(m.states) <= 10)
+            tp = checked_transcript(m) if len(m.states) <= 10 else udpda_to_transcript(m)
+            pair = transcript_to_characteristic(tp)
             n = min(slp.length(pair.prefix) + 3 * slp.length(pair.loop), 500)
             n = max(n, 40)
             assert pair.sequence(n) == udpda.run_prefix(m, n), label

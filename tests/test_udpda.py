@@ -61,6 +61,18 @@ class TestDeterminism:
                                ("q0", "a", BOTTOM, "q0", (BOTTOM,))])
         assert "offers 2 moves" in udpda.check_deterministic(a)
 
+    def test_least_conflict_is_reported(self):
+        a = raw(["q0", "q1"], [("q1", "a", BOTTOM, "q1", (BOTTOM,)),
+                               ("q1", "a", BOTTOM, "q0", (BOTTOM,)),
+                               ("q1", "a", "x", "q0", ()),
+                               ("q1", "", "x", "q1", ()),
+                               ("q0", "a", "x", "q0", ()),
+                               ("q0", "a", "x", "q1", ()),
+                               ("q0", "a", "x", "q1", ("x",)),
+                               ("q0", "a", BOTTOM, "q0", (BOTTOM,))],
+                stack=(BOTTOM, "x"))
+        assert udpda.check_deterministic(a) == "state q0 on top x offers 3 moves"
+
     def test_normalize_rejects(self):
         a = raw(["q0", "q1"], [("q0", "a", BOTTOM, "q1", (BOTTOM,)),
                                ("q0", "a", BOTTOM, "q0", (BOTTOM,))])
