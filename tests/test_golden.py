@@ -1,10 +1,17 @@
-"""Golden digest: the translation's formatted outputs over a seeded corpus.
+"""Golden digests: the translation's formatted outputs and the decision
+procedures' answers over seeded corpora.
 
-One SHA-256 over every pair and machine file the translation writes for a
+One SHA-256 covers every pair and machine file the translation writes for a
 fixed corpus (handcrafted machines, random normal machines, normalized raw
 machines, machine images of random programs, and random transcript pairs).
-A refactoring that keeps this digest keeps every output byte; a change that
-alters an output on purpose records the new digest here and says why.
+A second covers the verdicts of `decide` on another corpus: equivalence and
+inclusion (verdict, witness and checked prefix) on random machine pairs and
+on equivalent and near-miss variants of random indicator pairs, membership
+at 80-bit lengths, emptiness and universality.  The number of blocks an
+inclusion visited is left out, since it follows the shape of the compared
+programs rather than the answer.  A refactoring that keeps both digests
+keeps every output byte and every answer; a change that alters one on
+purpose records the new digest here and says why.
 """
 
 import hashlib
@@ -14,11 +21,12 @@ import subprocess
 import sys
 from pathlib import Path
 
-from pdapress import slp, translate, udpda
+from pdapress import decide, slp, translate, udpda
 
 from helpers import handcrafted_machines, random_normal_udpda, random_raw_udpda, random_slp
 
 GOLDEN = "f354353eb4220d9d18d6c73516b5d1e5096426a7e22d63e01bce7287390921b0"
+VERDICTS = "0945395eee1c3f7d36b250d6c1b673246a4ef94d2a7f9a9b7adde2c7482c3bea"
 
 
 def _machines():
@@ -69,8 +77,63 @@ def corpus_digest() -> str:
     return h.hexdigest()
 
 
+def _variant_pairs():
+    """Pairs of machines from indicator pairs: (base, equivalent variant) and
+    (base, the variant with one loop bit flipped), the variants built as in
+    the equivalence acceptance check; some loops run past the exact-compare
+    threshold of `slp.equal`."""
+    rng = random.Random(9004)
+    for i in range(30):
+        prefix = random_slp(rng, "01", max_len=60)
+        loop = random_slp(rng, "01", min_len=1, max_len=60)
+        if i % 5 == 0:
+            tail = random_slp(rng, "01", min_len=1, max_len=60)
+            loop = slp.concat(loop, slp.power(tail, 5000 // slp.length(tail) + 1))
+        k = rng.randint(1, slp.length(loop))
+        variant = rng.choice([
+            translate.IndicatorPair(slp.concat(prefix, slp.slice(loop, 0, k)),
+                                    slp.cyclic_shift(loop, k % slp.length(loop))),
+            translate.IndicatorPair(slp.concat(prefix, loop), loop),
+            translate.IndicatorPair(prefix, slp.power(loop, rng.randint(2, 3))),
+        ])
+        j = rng.randrange(slp.length(variant.loop))
+        bit = "1" if slp.query(variant.loop, j) == "0" else "0"
+        flipped = translate.IndicatorPair(variant.prefix, slp.concat(
+            slp.concat(slp.slice(variant.loop, 0, j), slp.literal(bit, "01")),
+            slp.slice(variant.loop, j + 1, slp.length(variant.loop))))
+        base = translate.indicator_to_udpda(translate.IndicatorPair(prefix, loop))
+        yield base, translate.indicator_to_udpda(variant)
+        yield base, translate.indicator_to_udpda(flipped)
+
+
+def _verdicts():
+    rng = random.Random(9003)
+    machines = [m for _, m in handcrafted_machines()]
+    machines += [random_normal_udpda(rng, max_states=10) for _ in range(40)]
+    big = [rng.getrandbits(80) | 1 << 79 for _ in range(3)]
+    for m in machines:
+        yield (decide.emptiness(m), decide.universality(m),
+               [decide.compressed_membership(m, n) for n in (0, 1, 7, *big)])
+    pairs = [(rng.choice(machines), rng.choice(machines)) for _ in range(60)]
+    for m1, m2 in [*pairs, *_variant_pairs()]:
+        res = [decide.inclusion(a, b) for a, b in ((m1, m2), (m2, m1))]
+        yield decide.equivalence(m1, m2), [(r.verdict, r.witness, r.checked) for r in res]
+
+
+def verdict_digest() -> str:
+    h = hashlib.sha256()
+    for row in _verdicts():
+        h.update(repr(row).encode())
+        h.update(b"\0")
+    return h.hexdigest()
+
+
 def test_outputs_match_golden_digest():
     assert corpus_digest() == GOLDEN
+
+
+def test_verdicts_match_golden_digest():
+    assert verdict_digest() == VERDICTS
 
 
 def test_digest_does_not_follow_hash_order():
