@@ -88,27 +88,6 @@ WILDCARD = SymbolRelation(
 )
 
 
-def _fill(memo: dict, prods: dict, root, combine) -> object:
-    """memo[root] = combine(rhs of root), filling in every child first.
-
-    Iterative, so grammars deeper than the recursion limit are fine; the
-    program must be acyclic.
-    """
-    stack = [root]
-    while stack:
-        sym = stack[-1]
-        if sym in memo:
-            stack.pop()
-            continue
-        todo = [c for c in set(prods[sym]) if c not in memo]
-        if todo:
-            stack.extend(todo)
-        else:
-            memo[sym] = combine(prods[sym])
-            stack.pop()
-    return memo[root]
-
-
 class _View:
     """One program as the block walk sees it.
 
@@ -120,10 +99,14 @@ class _View:
     def __init__(self, p: Slp, bits: dict[str, int]):
         self.prods = p.productions
         self.alphabet = p.alphabet
-        self.lens = {**slp._all_lengths(p), **dict.fromkeys(p.alphabet, 1)}
+        self.lens = lens = {**slp._all_lengths(p), **dict.fromkeys(p.alphabet, 1)}
         self.masks = {t: bits[t] for t in p.alphabet}
-        _fill(self.masks, self.prods, p.axiom, self._mask)
         self.texts = {t: t for t in p.alphabet}
+        for name in slp._toposort(p, [p.axiom]):
+            rhs = self.prods[name]
+            self.masks[name] = self._mask(rhs)
+            if lens[name] <= BLOCK:
+                self.texts[name] = "".join(map(self.texts.__getitem__, rhs))
         self._kids: dict[str, list] = {}
         self._fresh = count()
 
@@ -132,9 +115,6 @@ class _View:
         for sym in set(syms):
             mask |= self.masks[sym]
         return mask
-
-    def _join(self, syms) -> str:
-        return "".join(map(self.texts.__getitem__, syms))
 
     def children(self, sym: str) -> list:
         """sym's right-hand side with terminal runs chunked, reversed for a stack."""
@@ -158,10 +138,6 @@ class _View:
             kids.reverse()
             self._kids[sym] = kids
         return kids
-
-    def text(self, key) -> str:
-        """Expansion of a key at most BLOCK long, memoized."""
-        return _fill(self.texts, self.prods, key, self._join)
 
 
 def _advance(stack: list, k: int, lens: dict) -> int:
@@ -226,7 +202,7 @@ def comp_slp(
         elif not masks2[b] & bad2:
             step = l2 - off2
         elif l1 <= BLOCK and l2 <= BLOCK:
-            s1, s2 = g1.text(a)[off1:], g2.text(b)[off2:]
+            s1, s2 = g1.texts[a][off1:], g2.texts[b][off2:]
             step = min(len(s1), len(s2))
             if s1[:step] != s2[:step]:
                 for i, pair in enumerate(zip(s1, s2)):

@@ -1,11 +1,14 @@
 """Decision procedures for udpda, all running over indicator pairs.
 
 Membership, emptiness, universality and equivalence stay polynomial; the
-words involved are only ever handled in compressed form.  Inclusion is
-reduced to the componentwise comparison of two equal-length compressed
-words covering one full joint period, so it inherits that check's explicit
-work budget of aligned blocks examined (the problem is coNP-complete and a
-blow-up cannot be ruled out).
+words involved are only ever handled in compressed form, as windows cut
+from prefix.loop^omega by `IndicatorPair.window`.  Equivalence is one
+`slp.equal` over windows of P + k1 + k2 - gcd(k1, k2) characters, where P
+is the longer prefix and k1, k2 the loop lengths.  Inclusion is the
+componentwise comparison of windows of P + lcm(k1, k2) characters, one full
+joint period, so it inherits that check's explicit work budget of aligned
+blocks examined (the problem is coNP-complete and a blow-up cannot be ruled
+out).
 """
 
 from __future__ import annotations
@@ -55,40 +58,21 @@ def universality(a: Machine) -> bool:
 def _pair_equal(x: IndicatorPair, y: IndicatorPair) -> bool:
     """Whether two indicator pairs generate the same sequence.
 
-    An eventually periodic sequence with periods |x.loop| and |y.loop| also
-    has their gcd t as a period, so it suffices to align the prefixes, check
-    that the longer-aligned loop is a power of its own first t characters,
-    and that the other loop is the matching power up to a cyclic shift.
+    Past P, the longer prefix, the sequences have periods k1 = |x.loop| and
+    k2 = |y.loop|.  If they agree on the first N = P + k1 + k2 - gcd(k1, k2)
+    positions, the agreeing word from P on has both periods and, by the
+    theorem of Fine and Wilf, period g = gcd(k1, k2) as well; so both loops
+    repeat the same g characters and the sequences agree everywhere.  One
+    comparison of the two windows of length N is therefore complete.
     """
-    if slp.length(x.prefix) < slp.length(y.prefix):
-        x, y = y, x
-    p1, l1 = x.prefix, x.loop
-    p2, l2 = y.prefix, y.loop
-    n1, n2 = slp.length(p1), slp.length(p2)
-    k1, k2 = slp.length(l1), slp.length(l2)
-    # align: the second sequence's first n1 characters are p2 . l2^alpha
-    aligned = slp.concat(p2, slp.power(l2, n1 - n2, k2))
-    if not slp.equal(p1, aligned):
-        return False
-    t = math.gcd(k1, k2)
-    base = slp.slice(l1, 0, t)
-    if not slp.equal(l1, slp.power(base, k1 // t)):
-        return False
-    shift = (n1 - n2) % k2
-    return slp.equal(slp.cyclic_shift(l2, shift), slp.power(base, k2 // t))
+    k1, k2 = slp.length(x.loop), slp.length(y.loop)
+    n = max(slp.length(x.prefix), slp.length(y.prefix)) + k1 + k2 - math.gcd(k1, k2)
+    return slp.equal(x.window(n), y.window(n))
 
 
 def equivalence(a1: Machine, a2: Machine) -> bool:
     """Whether two machines accept the same language."""
     return _pair_equal(udpda_to_indicator(a1), udpda_to_indicator(a2))
-
-
-def _window(pair: IndicatorPair, n: int) -> Slp:
-    """Program for the first n characteristic bits (n at least the prefix)."""
-    return slp.concat(
-        pair.prefix,
-        slp.power(pair.loop, n - slp.length(pair.prefix), slp.length(pair.loop)),
-    )
 
 
 def inclusion(a1: Machine, a2: Machine, budget: int = DEFAULT_BUDGET) -> CheckResult:
@@ -110,4 +94,4 @@ def inclusion(a1: Machine, a2: Machine, budget: int = DEFAULT_BUDGET) -> CheckRe
     span = max(slp.length(x.prefix), slp.length(y.prefix)) + math.lcm(
         slp.length(x.loop), slp.length(y.loop)
     )
-    return comp_slp(_window(x, span), _window(y, span), ZERO_LEQ_ONE, budget)
+    return comp_slp(x.window(span), y.window(span), ZERO_LEQ_ONE, budget)

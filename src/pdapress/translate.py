@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 from . import slp
-from .errors import EmptyWord, FormatError, MalformedPair
+from .errors import BadRange, EmptyWord, FormatError, MalformedPair
 from .slp import Slp
 from .udpda import DEFAULT_BOTTOM, NormalUdpda, RawUnpda, normalize
 
@@ -55,18 +55,24 @@ class _Pair:
         if slp.length(self.loop) == 0:
             raise MalformedPair(f"{self.KIND} pair needs a nonempty loop")
 
-    def sequence(self, n: int) -> str:
-        """First n characters of prefix.loop^omega, expanding only what is needed."""
-        plen = slp.length(self.prefix)
+    def window(self, n: int) -> Slp:
+        """Program for the first n characters of prefix.loop^omega: the
+        prefix cut at n, or the prefix, loop^q and the first r characters
+        of the loop, where q, r = divmod(n - |prefix|, |loop|)."""
+        if n < 0:
+            raise BadRange(f"window of negative length {n}")
+        st = slp._Store(self.ALPHABET)
+        pre = st.imp(self.prefix)
+        plen = st.sym_length(pre)
         if n <= plen:
-            return slp.expand(slp.slice(self.prefix, 0, n), n) if n else ""
-        pre = slp.expand(self.prefix, plen) if plen else ""
-        llen = slp.length(self.loop)
-        need = n - plen
-        if llen > need:
-            return pre + slp.expand(slp.slice(self.loop, 0, need), need)
-        body = slp.expand(self.loop, llen)
-        return pre + body * (need // llen) + body[: need % llen]
+            return st.build(slp._take_sym(st, pre, n))
+        loop = st.imp(self.loop)
+        q, r = divmod(n - plen, st.sym_length(loop))
+        return st.build(st.add((pre, slp._pow_sym(st, loop, q), slp._take_sym(st, loop, r))))
+
+    def sequence(self, n: int) -> str:
+        """First n characters of prefix.loop^omega."""
+        return slp.expand(self.window(n), n)
 
     @property
     def size(self) -> int:
@@ -405,9 +411,10 @@ class _FusedImage:
     f -> empty, written into a store over {0, 1}.
 
     Works on the Chomsky normal form; a production N -> A B fuses when A's
-    word ends with a and B's starts with f.  Variants that drop a leading f
-    or a trailing a are produced on demand, the way the trimmed nonterminals
-    N a^-1 and f^-1 N are defined alongside the originals.
+    word ends with a and B's starts with f.  A variant that drops a trailing
+    a is produced on demand, the way the trimmed nonterminal N a^-1 is
+    defined alongside the original; no variant drops a leading f, since an
+    f maps to the empty word anyway.
     """
 
     def __init__(self, store: slp._Store, cnf: Slp):
@@ -423,18 +430,11 @@ class _FusedImage:
             else:
                 self.first[name] = self.first[rhs[0]]
                 self.last[name] = self.last[rhs[1]]
-        self.memo: dict[tuple[str, bool, bool], str] = {}
+        self.memo: dict[tuple[str, bool], str] = {}
 
-    def _children(self, key: tuple[str, bool, bool]):
-        name, drop_f, drop_a = key
-        rhs = self.prods[name]
-        if self.last[rhs[0]] == "a" and self.first[rhs[1]] == "f":
-            return True, ((rhs[0], drop_f, True), (rhs[1], True, drop_a))
-        return False, ((rhs[0], drop_f, False), (rhs[1], False, drop_a))
-
-    def image(self, drop_f: bool = False, drop_a: bool = False) -> str:
+    def image(self, drop_a: bool = False) -> str:
         # explicit work stack: grammars may be deeper than the recursion budget
-        goal = (self.axiom, drop_f, drop_a)
+        goal = (self.axiom, drop_a)
         memo = self.memo
         stack = [goal]
         while stack:
@@ -442,14 +442,16 @@ class _FusedImage:
             if key in memo:
                 stack.pop()
                 continue
-            rhs = self.prods[key[0]]
+            name, drop = key
+            rhs = self.prods[name]
             if len(rhs) == 1:
                 sym = rhs[0]
-                assert not (key[1] and sym != "f") and not (key[2] and sym != "a")
-                memo[key] = self.st.add(("0",) if sym == "a" and not key[2] else ())
+                assert not (drop and sym != "a")
+                memo[key] = self.st.add(("0",) if sym == "a" and not drop else ())
                 stack.pop()
                 continue
-            fused, children = self._children(key)
+            fused = self.last[rhs[0]] == "a" and self.first[rhs[1]] == "f"
+            children = ((rhs[0], fused), (rhs[1], drop))
             pending = [c for c in children if c not in memo]
             if pending:
                 stack.extend(pending)
@@ -491,12 +493,12 @@ def transcript_to_characteristic(tp: TranscriptPair) -> IndicatorPair:
     w = img_loop.image()
     if loop_first == "f" and loop_last == "a":
         # every junction fuses: the loop loses its leading f and trailing a
-        w = st.add((img_loop.image(drop_f=True, drop_a=True), "1"))
+        w = st.add((img_loop.image(drop_a=True), "1"))
         if pre_last == "a":
             u = st.add((img_pre.image(drop_a=True), "1"))
     elif loop_first == "f" and pre_last == "a":
         # only the first junction can fuse
-        u = st.add((img_pre.image(drop_a=True), "1", img_loop.image(drop_f=True)))
+        u = st.add((img_pre.image(drop_a=True), "1", w))
 
     head = st.add(("1" if first_bit else "0",))
     return IndicatorPair(st.build(st.add((head, u))), st.build(w))

@@ -82,6 +82,17 @@ class TestEquivalence:
 
     def test_inequivalent(self):
         assert not decide.equivalence(machine_even(), machine_loop())
+        # Fine-Wilf boundary: each pair first differs at N - 1, the last
+        # position of the window N = P + k1 + k2 - gcd(k1, k2)
+        for (p1, l1), (p2, l2), last in [
+            (("", "01"), ("", "010"), 3),
+            (("1", "01"), ("1", "0100"), 4),
+        ]:
+            x, y = IndicatorPair(bits(p1), bits(l1)), IndicatorPair(bits(p2), bits(l2))
+            assert x.sequence(last) == y.sequence(last)
+            assert x.sequence(last + 1) != y.sequence(last + 1)
+            assert not decide._pair_equal(x, y)
+            assert not decide.equivalence(indicator_to_udpda(x), indicator_to_udpda(y))
 
     def test_reflexive_symmetric(self):
         rng = random.Random(62)
