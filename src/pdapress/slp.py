@@ -321,7 +321,12 @@ def _take_sym(st: _Store, sym: str, k: int) -> str:
             k -= n
         spine.append(kept)
         sym = child
-    cur = st.add(()) if k == 0 else sym
+    if k:
+        cur = sym
+    elif spine:  # the cut ends on a child boundary: close the innermost level
+        cur = st.add(spine.pop())
+    else:
+        cur = st.add(())
     for kept in reversed(spine):
         cur = st.add((*kept, cur))
     return cur

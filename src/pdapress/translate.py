@@ -58,7 +58,8 @@ class _Pair:
     def window(self, n: int) -> Slp:
         """Program for the first n characters of prefix.loop^omega: the
         prefix cut at n, or the prefix, loop^q and the first r characters
-        of the loop, where q, r = divmod(n - |prefix|, |loop|)."""
+        of the loop, where q, r = divmod(n - |prefix|, |loop|); empty parts
+        are left out."""
         if n < 0:
             raise BadRange(f"window of negative length {n}")
         st = slp._Store(self.ALPHABET)
@@ -68,7 +69,12 @@ class _Pair:
             return st.build(slp._take_sym(st, pre, n))
         loop = st.imp(self.loop)
         q, r = divmod(n - plen, st.sym_length(loop))
-        return st.build(st.add((pre, slp._pow_sym(st, loop, q), slp._take_sym(st, loop, r))))
+        parts = [pre] if plen else []
+        if q:
+            parts.append(slp._pow_sym(st, loop, q))
+        if r:
+            parts.append(slp._take_sym(st, loop, r))
+        return st.build(st.add(parts))
 
     def sequence(self, n: int) -> str:
         """First n characters of prefix.loop^omega."""
@@ -258,27 +264,23 @@ class TranscriptWorkspace:
     return to prefix/loop nonterminals for its infinite event stream.  The
     three domains partition the state set at all times, and every vertex
     keeps out-degree at most one.
+
+    Resolution runs on demand: `transcript` resolves the states of the
+    bottom-symbol chain from the initial state, and with them only what
+    their values depend on; the rest of the machine stays pending.
     """
 
     def __init__(self, machine: NormalUdpda):
         self.machine = machine
-        self.store = slp._Store(EVENT_ALPHABET)
-        st = self.store
-        self.v: dict[str, str] = {}
-        for q in machine.states:
-            rhs = []
-            if q in machine.finals:
-                rhs.append("f")
-            if q in machine.reading:
-                rhs.append("a")
-            self.v[q] = st.add(tuple(rhs))
-        empty = st.add(())
+        self.store = st = slp._Store(EVENT_ALPHABET)
+        # events of one visit: f if the state is final, then a if it reads
+        empty, f, a, fa = st.add(()), st.add(("f",)), st.add(("a",)), st.add(("f", "a"))
+        v = self.v = dict.fromkeys(machine.states, empty)
+        v.update(dict.fromkeys(machine.reading, a))
+        v.update((q, fa if q in machine.reading else f) for q in machine.finals)
         self.exit: dict[str, tuple[str, str]] = {q: (q, empty) for q, _gamma in machine.pop}
-        self.edge: dict[str, tuple[str, str]] = {}
-        for q, t in machine.internal.items():
-            self.edge[q] = (t, self.v[q])
-        for q, (t, _gamma) in machine.push.items():
-            self.edge[q] = (t, self.v[q])
+        self.edge: dict[str, tuple[str, str]] = {q: (t, v[q]) for q, t in machine.internal.items()}
+        self.edge.update((q, (t, v[q])) for q, (t, _gamma) in machine.push.items())
         self.pushing = set(machine.push)
         self.nonret: dict[str, tuple[str, str]] = {}
 
@@ -320,69 +322,79 @@ class TranscriptWorkspace:
             pre = self.store.add((nts[i], pre))
             self.nonret[cycle[i]] = (pre, loop_nt)
 
-    # -- the two stages ----------------------------------------------------
+    # -- resolution -------------------------------------------------------
 
-    def main_stage(self):
-        """Resolve every pending edge by walking it.
+    def resolve(self, start: str):
+        """Resolve start, and everything its value depends on, by walking
+        its pending edge.
 
         Every state has out-degree at most one, so from a pending state the
         edges form a single path.  It is followed until a resolved state;
         unwinding applies R1, R2 or R3 to each state on it, and after R3
         the walk goes on from the new target.  A path that meets itself
         closes a cycle of pending edges, resolved by R4 from its least
-        state.  Each state is resolved once, from its target's final value.
+        state.  Each state is resolved once, from its target's final value,
+        so the values do not depend on which states are resolved or in
+        what order.
         """
-        for start in list(self.edge):
-            path: list[str] = []
-            on_path: dict[str, int] = {}
-            q = start
-            while True:
-                if q in self.edge and q not in on_path:
-                    on_path[q] = len(path)
-                    path.append(q)
-                    q = self.edge[q][0]
-                    continue
-                if q in on_path:
-                    cycle = path[on_path[q]:]
-                    del path[on_path[q]:]
-                    for s in cycle:
-                        del on_path[s]
-                    pivot = cycle.index(min(cycle))
-                    self.apply_r4(cycle[pivot:] + cycle[:pivot])
-                if not path:
-                    break
-                q = path[-1]  # its target is resolved
-                if self.edge[q][0] in self.nonret:
-                    self.apply_r1(q)
-                elif q not in self.pushing:
-                    self.apply_r2(q)
-                else:
-                    self.apply_r3(q)  # q is now horizontal: walk on from its landing
-                    q = self.edge[q][0]
-                    continue
-                path.pop()
-                del on_path[q]
+        path: list[str] = []
+        on_path: dict[str, int] = {}
+        q = start
+        while True:
+            if q in self.edge and q not in on_path:
+                on_path[q] = len(path)
+                path.append(q)
+                q = self.edge[q][0]
+                continue
+            if q in on_path:
+                cycle = path[on_path[q]:]
+                del path[on_path[q]:]
+                for s in cycle:
+                    del on_path[s]
+                pivot = cycle.index(min(cycle))
+                self.apply_r4(cycle[pivot:] + cycle[:pivot])
+            if not path:
+                return
+            q = path[-1]  # its target is resolved
+            if self.edge[q][0] in self.nonret:
+                self.apply_r1(q)
+            elif q not in self.pushing:
+                self.apply_r2(q)
+            else:
+                self.apply_r3(q)  # q is now horizontal: walk on from its landing
+                q = self.edge[q][0]
+                continue
+            path.pop()
+            del on_path[q]
+
+    def main_stage(self):
+        """Resolve every state; the transcript itself resolves on demand."""
+        for q in list(self.edge):
+            self.resolve(q)
 
     def bottom_stage(self) -> tuple[str, str]:
         """Chain return segments across bottom-symbol moves from the initial
-        state; returns store names for the transcript's prefix and loop."""
+        state, resolving each state on the chain first; returns store names
+        for the transcript's prefix and loop."""
         machine, st = self.machine, self.store
         segs: list[str] = []
         index: dict[str, int] = {}
         q = machine.initial
+        self.resolve(q)
         while q not in self.nonret and q not in index:
             index[q] = len(segs)
             q2, seg = self.exit[q]
             segs.append(st.add((seg, self.v[q2])))
             q = machine.pop[(q2, machine.bottom)]
+            self.resolve(q)
         if q in self.nonret:
             pre, loop = self.nonret[q]
             return st.add((*segs, pre)), loop
         return st.add(segs[: index[q]]), st.add(segs[index[q]:])
 
     def transcript(self) -> TranscriptPair:
-        """Run both stages and build the transcript pair."""
-        self.main_stage()
+        """Build the transcript pair, resolving only the states the bottom
+        chain needs."""
         pre_name, loop_name = self.bottom_stage()
         prefix = self.store.build(pre_name)
         loop = self.store.build(loop_name)

@@ -162,9 +162,9 @@ def normalize(a: RawUnpda) -> NormalUdpda:
     moves lead to a non-final reading dead state that loops on itself.  The
     result has at most 6 * |Q| * |Gamma| states.
     """
-    problem = check_deterministic(a)
-    if problem is not None:
-        raise NotDeterministic(problem)
+    moves = {(t[0], t[2]): t for t in a.transitions}
+    if len(moves) < len(a.transitions):  # two moves share a (state, top) pair
+        raise NotDeterministic(check_deterministic(a))
     taken: set[str] = set()
     base = {q: _uniquify(q, taken) for q in sorted(a.states)}
     dead = _uniquify("dead", taken)
@@ -175,7 +175,6 @@ def normalize(a: RawUnpda) -> NormalUdpda:
     reading = {dead}
     finals = {base[q] for q in sorted(a.finals)}
 
-    moves = {(t[0], t[2]): t for t in a.transitions}
     for q in sorted(a.states):
         for gamma in sorted(a.stack_alphabet):
             t = moves.get((q, gamma))

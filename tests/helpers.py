@@ -296,8 +296,17 @@ class CheckedWorkspace(TranscriptWorkspace):
 
 
 def checked_transcript(a: NormalUdpda) -> TranscriptPair:
-    """udpda_to_transcript on the checked workspace (small machines only)."""
-    return CheckedWorkspace(a).transcript()
+    """udpda_to_transcript on the checked workspace (small machines only).
+
+    Every state is resolved first, so I1-I5 are re-checked on every rule
+    for every state, not only for those the computation reaches; the
+    on-demand transcript of a fresh workspace must give the same pair.
+    """
+    ws = CheckedWorkspace(a)
+    ws.main_stage()
+    tp = ws.transcript()
+    assert TranscriptWorkspace(a).transcript() == tp
+    return tp
 
 
 # ---------------------------------------------------------------------------

@@ -182,7 +182,7 @@ def normal(internal=(), push=(), pop=(), reading=(), finals=(), initial="q0"):
 
 
 class TestTranscriptWalk:
-    """Shapes of the pending-edge graph the main stage walks."""
+    """Shapes of the pending-edge graph the resolution walk follows."""
 
     def check(self, m, n=60):
         tp = checked_transcript(m)
@@ -220,6 +220,24 @@ class TestTranscriptWalk:
         else:
             m = normal(internal={"s": "q0", "q0": "q0"}, reading={"q0"},
                        finals={"s", "q0"}, initial="s")
+        self.check(m)
+
+    def test_unreached_states_stay_pending(self):
+        # the computation loops on s; the push/internal component u0..u2 is
+        # never entered, so the on-demand transcript leaves it unresolved
+        m = normal(
+            internal={"s": "s", "u1": "u2", "u2": "u0"},
+            push={"u0": ("u1", "x")},
+            pop={("p", "x"): "u0", ("p", BOTTOM): "s"},
+            reading={"s", "u1"}, finals={"s", "u2"}, initial="s",
+        )
+        ws = translate.TranscriptWorkspace(m)
+        tp = ws.transcript()
+        assert {"u0", "u1", "u2"} <= set(ws.edge) and ws.pushing == {"u0"}
+        eager = translate.TranscriptWorkspace(m)
+        eager.main_stage()
+        assert not eager.edge
+        assert eager.transcript() == tp
         self.check(m)
 
     def test_long_chain_into_a_pop_state(self):
@@ -334,6 +352,26 @@ class TestFullPipeline:
             p2 = udpda_to_indicator(m)
             assert slp.format_slp(p1.prefix) == slp.format_slp(p2.prefix)
             assert slp.format_slp(p1.loop) == slp.format_slp(p2.loop)
+
+
+class TestWindow:
+    def test_random_literal_pairs(self):
+        rng = random.Random(49)
+        for _ in range(60):
+            prefix = "".join(rng.choice("01") for _ in range(rng.randint(0, 4)))
+            loop = "".join(rng.choice("01") for _ in range(rng.randint(1, 4)))
+            pair = IndicatorPair(bits(prefix), bits(loop))
+            word = prefix + loop * 30
+            for n in range(30):
+                w = pair.window(n)
+                assert slp.length(w) == n and slp.expand(w, n) == word[:n]
+                assert n == 0 or all(w.productions.values()), (prefix, loop, n)
+
+    def test_cut_on_a_child_boundary_has_no_empty_production(self):
+        pair = IndicatorPair(bits("110"), bits("01"))
+        for n in (7, 8):
+            assert "eps" not in slp.format_slp(pair.window(n))
+        assert slp.format_slp(pair.window(0)) == "alphabet: 01\nN0 -> eps\n"
 
 
 class TestPairFormat:

@@ -61,23 +61,32 @@ class TestDeterminism:
                                ("q0", "a", BOTTOM, "q0", (BOTTOM,))])
         assert "offers 2 moves" in udpda.check_deterministic(a)
 
+    @staticmethod
+    def conflicts():
+        """Conflicts at three (state, top) pairs; the least offers 3 moves."""
+        return raw(["q0", "q1"], [("q1", "a", BOTTOM, "q1", (BOTTOM,)),
+                                  ("q1", "a", BOTTOM, "q0", (BOTTOM,)),
+                                  ("q1", "a", "x", "q0", ()),
+                                  ("q1", "", "x", "q1", ()),
+                                  ("q0", "a", "x", "q0", ()),
+                                  ("q0", "a", "x", "q1", ()),
+                                  ("q0", "a", "x", "q1", ("x",)),
+                                  ("q0", "a", BOTTOM, "q0", (BOTTOM,))],
+                   stack=(BOTTOM, "x"))
+
     def test_least_conflict_is_reported(self):
-        a = raw(["q0", "q1"], [("q1", "a", BOTTOM, "q1", (BOTTOM,)),
-                               ("q1", "a", BOTTOM, "q0", (BOTTOM,)),
-                               ("q1", "a", "x", "q0", ()),
-                               ("q1", "", "x", "q1", ()),
-                               ("q0", "a", "x", "q0", ()),
-                               ("q0", "a", "x", "q1", ()),
-                               ("q0", "a", "x", "q1", ("x",)),
-                               ("q0", "a", BOTTOM, "q0", (BOTTOM,))],
-                stack=(BOTTOM, "x"))
-        assert udpda.check_deterministic(a) == "state q0 on top x offers 3 moves"
+        assert udpda.check_deterministic(self.conflicts()) == "state q0 on top x offers 3 moves"
 
     def test_normalize_rejects(self):
         a = raw(["q0", "q1"], [("q0", "a", BOTTOM, "q1", (BOTTOM,)),
                                ("q0", "a", BOTTOM, "q0", (BOTTOM,))])
         with pytest.raises(NotDeterministic):
             udpda.normalize(a)
+        # the message is check_deterministic's, least conflict first
+        a = self.conflicts()
+        with pytest.raises(NotDeterministic) as err:
+            udpda.normalize(a)
+        assert str(err.value) == udpda.check_deterministic(a)
 
 
 class TestNormalize:
