@@ -1,5 +1,6 @@
 """Integer expressions: parsing, bounded semantics, grammar lowering."""
 
+import hashlib
 import random
 
 import pytest
@@ -180,3 +181,73 @@ class TestCfgFormat:
         for n in range(12):
             assert cfg_membership_unary(back, n) == cfg_membership_unary(g, n)
         assert intexpr.format_cfg(back) == text
+
+
+# ---------------------------------------------------------------------------
+# Golden digest
+
+
+INTEXPR_GOLDEN = "05b8e5aca897629ae76e13925cbe28af084b2ca290ffed1b647a9e0232bd546f"
+
+MALFORMED = ["1+", "(1|2", "1 2", "(1 2)", "", "()", "1|", "x2", "(((3", "3)", "2 x 2"]
+TOKENS = ["1", "2", "10", "+", "|", "*", "x2", "x", "(", ")", " "]
+
+
+def random_tokens(rng, depth):
+    """Tokens of a random valid text with spaces and unparenthesized
+    operators, so that precedence and whitespace are exercised."""
+    tokens = []
+    for i in range(rng.randint(1, 5)):
+        if i:
+            tokens.append(rng.choice(["+", " + ", "|", " | "]))
+        if depth and rng.random() < 0.4:
+            tokens += ["("] + random_tokens(rng, depth - 1) + [")"]
+        else:
+            tokens.append(rng.choice(["0", "1", "2", "10"]))
+        tokens += rng.choices(["*", "x2", " x2", " *"], k=rng.randint(0, 2))
+    return tokens
+
+
+def random_text(rng):
+    """A random valid text, or one with a token deleted or inserted."""
+    tokens = random_tokens(rng, 3)
+    roll = rng.random()
+    if roll < 0.2:
+        del tokens[rng.randrange(len(tokens))]
+    elif roll < 0.4:
+        tokens.insert(rng.randint(0, len(tokens)), rng.choice(TOKENS))
+    return "".join(tokens)
+
+
+def intexpr_digest() -> str:
+    """SHA-256 over the printed form, the .cfg lowering and the bounded
+    semantics of seeded random expressions, grammar membership on a subset,
+    and the parse (tree or error) of malformed and random token strings."""
+    h = hashlib.sha256()
+
+    def put(value):
+        h.update(repr(value).encode())
+        h.update(b"\0")
+
+    rng = random.Random(76)
+    for depth in range(8):
+        for i in range(160):
+            e = random_expr(rng, depth)
+            text = str(e)
+            put(text)
+            g = expr_to_cfg(parse_expr(text))
+            put(intexpr.format_cfg(g))
+            put(eval_up_to(e, 80))
+            if i % 8 == 0:
+                put([n for n in range(41) if cfg_membership_unary(g, n)])
+    texts = MALFORMED + [random_text(rng) for _ in range(1500)]
+    for text in texts:
+        try:
+            put(str(parse_expr(text)))
+        except ExprSyntaxError as err:
+            put((type(err).__name__, str(err), err.position))
+    return h.hexdigest()
+
+
+def test_outputs_match_golden_digest():
+    assert intexpr_digest() == INTEXPR_GOLDEN
