@@ -19,12 +19,38 @@ MAX_MEMBERSHIP = 1 << 20
 
 
 class IntExpr:
-    """Base class for expression nodes."""
+    """Base class for expression nodes.
+
+    `_kids` names a node's children, left to right; `_pieces` is the text
+    printed before the first child, between children and after the last.
+    """
 
     __slots__ = ()
+    _kids: tuple[str, ...] = ()
+
+    def __str__(self):
+        return "".join(node._pieces[i] if node._kids else str(node.value)
+                       for node, i in _walk(self))
 
 
-@dataclass(frozen=True)
+def _walk(expr: IntExpr):
+    """Depth-first visits (node, i), children left to right: i = 0 on
+    entering, i = k after the node's k-th child is done, so a node with k
+    children is left at i = k (a constant is entered and left at once).
+    The stack is explicit, so depth is not limited."""
+    stack = [(expr, 0)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        visit = pop()
+        yield visit
+        node, i = visit
+        kids = node._kids
+        if i < len(kids):
+            push((node, i + 1))
+            push((getattr(node, kids[i]), 0))
+
+
+@dataclass(frozen=True, slots=True)
 class Const(IntExpr):
     value: int
 
@@ -32,48 +58,44 @@ class Const(IntExpr):
         if self.value < 0:
             raise ValueError("constants must be non-negative")
 
-    def __str__(self):
-        return str(self.value)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sum(IntExpr):
     left: IntExpr
     right: IntExpr
+    _kids = ("left", "right")
+    _pieces = ("(", "+", ")")
 
-    def __str__(self):
-        return f"({self.left}+{self.right})"
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Union(IntExpr):
     left: IntExpr
     right: IntExpr
+    _kids = ("left", "right")
+    _pieces = ("(", "|", ")")
 
-    def __str__(self):
-        return f"({self.left}|{self.right})"
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Double(IntExpr):
     child: IntExpr
+    _kids = ("child",)
+    _pieces = ("(", " x2)")
 
-    def __str__(self):
-        return f"({self.child} x2)"
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Star(IntExpr):
     child: IntExpr
-
-    def __str__(self):
-        return f"({self.child})*"
+    _kids = ("child",)
+    _pieces = ("(", ")*")
 
 
 class _Parser:
-    """Recursive descent for:  expr := term ('|' term)*;
+    """One loop for:  expr := term ('|' term)*;
     term := factor ('+' factor)*;  factor := atom ('*' | 'x2')*;
-    atom := number | '(' expr ')'."""
+    atom := number | '(' expr ')'.
+
+    An opening parenthesis saves the union and the sum it interrupts on an
+    explicit stack, so nesting depth is not limited."""
 
     def __init__(self, text: str):
         self.text = text
@@ -90,56 +112,56 @@ class _Parser:
         self.skip_ws()
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
-    def expr(self) -> IntExpr:
-        node = self.term()
-        while self.peek() == "|":
+    def number(self) -> IntExpr:
+        if not self.peek().isdigit():
+            self.error("expected a number or '('")
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos].isdigit():
             self.pos += 1
-            node = Union(node, self.term())
-        return node
+        return Const(int(self.text[start : self.pos]))
 
-    def term(self) -> IntExpr:
-        node = self.factor()
-        while self.peek() == "+":
-            self.pos += 1
-            node = Sum(node, self.factor())
-        return node
-
-    def factor(self) -> IntExpr:
-        node = self.atom()
+    def parse(self) -> IntExpr:
+        outer: list[tuple[IntExpr | None, IntExpr | None]] = []
+        union = total = None  # the alternatives and the summands read at this depth
         while True:
-            ch = self.peek()
-            if ch == "*":
+            if self.peek() == "(":
                 self.pos += 1
-                node = Star(node)
-            elif ch == "x" and self.text[self.pos : self.pos + 2] == "x2":
-                self.pos += 2
-                node = Double(node)
-            else:
-                return node
-
-    def atom(self) -> IntExpr:
-        ch = self.peek()
-        if ch == "(":
-            self.pos += 1
-            node = self.expr()
-            if self.peek() != ")":
-                self.error("expected ')'")
-            self.pos += 1
-            return node
-        if ch.isdigit():
-            start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
+                outer.append((union, total))
+                union = total = None
+                continue
+            node = self.number()
+            while True:  # node is an atom: apply postfixes, then fold it in
+                while True:
+                    ch = self.peek()
+                    if ch == "*":
+                        self.pos += 1
+                        node = Star(node)
+                    elif ch == "x" and self.text[self.pos : self.pos + 2] == "x2":
+                        self.pos += 2
+                        node = Double(node)
+                    else:
+                        break
+                total = node if total is None else Sum(total, node)
+                if ch == "+":
+                    break
+                union = total if union is None else Union(union, total)
+                total = None
+                if ch == "|":
+                    break
+                if not outer:
+                    if ch:
+                        self.error("trailing input")
+                    return union
+                if ch != ")":
+                    self.error("expected ')'")
                 self.pos += 1
-            return Const(int(self.text[start : self.pos]))
-        self.error("expected a number or '('")
+                node = union
+                union, total = outer.pop()
+            self.pos += 1
 
 
 def parse_expr(text: str) -> IntExpr:
-    parser = _Parser(text)
-    node = parser.expr()
-    if parser.peek():
-        parser.error("trailing input")
-    return node
+    return _Parser(text).parse()
 
 
 def _bits(mask: int):
@@ -167,27 +189,30 @@ def eval_up_to(expr: IntExpr, bound: int) -> int:
     if bound < 0:
         raise ValueError("bound must be non-negative")
     width = (1 << (bound + 1)) - 1
-    if isinstance(expr, Const):
-        return 1 << expr.value if expr.value <= bound else 0
-    if isinstance(expr, Union):
-        return eval_up_to(expr.left, bound) | eval_up_to(expr.right, bound)
-    if isinstance(expr, Sum):
-        return _sumset(eval_up_to(expr.left, bound), eval_up_to(expr.right, bound), width)
-    if isinstance(expr, Double):
-        child = eval_up_to(expr.child, bound)
-        return _sumset(child, child, width)
-    if isinstance(expr, Star):
-        members = eval_up_to(expr.child, bound)
-        closure = 1  # zero summands
-        for v in _bits(members):
-            if v == 0:
-                continue
-            shift = v
-            while shift <= bound:
-                closure |= (closure << shift) & width
-                shift <<= 1
-        return closure
-    raise TypeError(f"not an expression node: {expr!r}")
+    values: list[int] = []  # masks of the finished children of open nodes
+    for node, i in _walk(expr):
+        kind = type(node)
+        if kind is Const:
+            values.append(1 << node.value if node.value <= bound else 0)
+        elif i < len(node._kids):
+            continue
+        elif kind is Union:
+            right = values.pop()
+            values[-1] |= right
+        elif kind is Sum:
+            right = values.pop()
+            values[-1] = _sumset(values[-1], right, width)
+        elif kind is Double:
+            values[-1] = _sumset(values[-1], values[-1], width)
+        else:  # star: an unbounded-knapsack closure
+            closure = 1  # zero summands
+            for v in _bits(values[-1]):
+                shift = v
+                while 0 < shift <= bound:
+                    closure |= (closure << shift) & width
+                    shift <<= 1
+            values[-1] = closure
+    return values[0]
 
 
 def members_up_to(expr: IntExpr, bound: int) -> list[int]:
@@ -255,123 +280,65 @@ class _CfgBuilder:
             acc = nxt
         return acc
 
-    def lower(self, expr: IntExpr) -> str:
-        if isinstance(expr, Const):
-            return self.const(expr.value)
-        name = self.fresh()
-        if isinstance(expr, Sum):
-            self.rule(name, (self.lower(expr.left), self.lower(expr.right)))
-        elif isinstance(expr, Union):
-            left, right = self.lower(expr.left), self.lower(expr.right)
-            self.rule(name, (left,))
-            self.rule(name, (right,))
-        elif isinstance(expr, Double):
-            child = self.lower(expr.child)
-            self.rule(name, (child, child))
-        elif isinstance(expr, Star):
-            child = self.lower(expr.child)
-            self.rule(name, ())
-            self.rule(name, (child, name))
-        else:
-            raise TypeError(f"not an expression node: {expr!r}")
-        return name
-
 
 def expr_to_cfg(expr: IntExpr) -> UnaryCfg:
     """Grammar whose language is { a^s : s denoted by the expression }.
 
     Constants lower to doubling chains, sums to concatenation, unions to
     alternatives, doubling to two copies of one nonterminal, and star to the
-    pair N -> empty | child N.
+    pair N -> empty | child N.  A node's name is taken on entering it and
+    its rules are written on leaving, after its children's.
     """
     builder = _CfgBuilder()
-    axiom = builder.lower(expr)
-    return UnaryCfg(tuple(builder.productions), axiom)
+    names: list[str] = []  # each open node's name, then its finished children
+    for node, i in _walk(expr):
+        kind = type(node)
+        if kind is Const:
+            names.append(builder.const(node.value))
+        elif i == 0:
+            names.append(builder.fresh())
+        elif i == len(node._kids):
+            children = tuple(names[-i:])
+            del names[-i:]
+            name = names[-1]
+            if kind is Sum:
+                builder.rule(name, children)
+            elif kind is Union:
+                builder.rule(name, children[:1])
+                builder.rule(name, children[1:])
+            elif kind is Double:
+                builder.rule(name, (children[0], children[0]))
+            else:
+                builder.rule(name, ())
+                builder.rule(name, (children[0], name))
+    return UnaryCfg(tuple(builder.productions), names[0])
 
 
 def cfg_membership_unary(g: UnaryCfg, n: int) -> bool:
-    """Whether a**n is in the language, by a length-indexed fixpoint.
+    """Whether a**n is in the language, by a least fixpoint over length masks.
 
-    The grammar is binarized and freed of empty productions first; then the
-    set of derivable lengths (a bitmask up to n) is computed per nonterminal
-    with a worklist until stable.
+    Each nonterminal has a bitmask of the lengths up to n it derives, bit 0
+    standing for the empty word; a production's mask is the sumset of its
+    symbols' masks, and passes over the productions repeat until no mask
+    grows.
     """
     if n > MAX_MEMBERSHIP:
         raise BoundTooLarge(f"membership length {n} exceeds {MAX_MEMBERSHIP}")
-    # binarize
-    rules: list[tuple[str, tuple[str, ...]]] = []
-    taken = {lhs for lhs, _ in g.productions}
-    counter = [0]
-
-    def fresh() -> str:
-        counter[0] += 1
-        while f"B{counter[0]}" in taken:
-            counter[0] += 1
-        return f"B{counter[0]}"
-
-    for lhs, rhs in g.productions:
-        while len(rhs) > 2:
-            mid = fresh()
-            rules.append((mid, rhs[:2]))
-            rhs = (mid,) + rhs[2:]
-        rules.append((lhs, rhs))
-    # nullable nonterminals, then drop empty productions
-    nullable: set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        for lhs, rhs in rules:
-            if lhs not in nullable and all(s in nullable for s in rhs):
-                nullable.add(lhs)
-                changed = True
-    if n == 0:
-        return g.axiom in nullable
-    stripped: set[tuple[str, tuple[str, ...]]] = set()
-    for lhs, rhs in rules:
-        if len(rhs) == 2:
-            stripped.add((lhs, rhs))
-            if rhs[0] in nullable:
-                stripped.add((lhs, (rhs[1],)))
-            if rhs[1] in nullable:
-                stripped.add((lhs, (rhs[0],)))
-        elif len(rhs) == 1:
-            stripped.add((lhs, rhs))
-    # length-indexed fixpoint over bitmasks (positions 1..n)
     width = (1 << (n + 1)) - 1
-    masks: dict[str, int] = {}
-    by_member: dict[str, list[tuple[str, tuple[str, ...]]]] = {}
-    for rule in sorted(stripped):
-        lhs, rhs = rule
-        masks.setdefault(lhs, 0)
-        for sym in rhs:
-            if sym != "a":
-                masks.setdefault(sym, 0)
-                by_member.setdefault(sym, []).append(rule)
-
-    def value(rule) -> int:
-        lhs, rhs = rule
-        if rhs == ("a",):
-            return 2  # bit 1
-        if len(rhs) == 1:
-            return masks[rhs[0]]
-        left = 2 if rhs[0] == "a" else masks[rhs[0]]
-        right = 2 if rhs[1] == "a" else masks[rhs[1]]
-        return _sumset(left, right, width)
-
-    work = sorted(stripped)
-    while work:
-        batch, work = work, []
-        touched: set[str] = set()
-        for rule in batch:
-            lhs = rule[0]
-            add = value(rule) & ~masks[lhs]
-            if add:
-                masks[lhs] |= add
-                touched.add(lhs)
-        for sym in sorted(touched):
-            work.extend(by_member.get(sym, ()))
-        work = sorted(set(work))
-    return bool(masks.get(g.axiom, 0) >> n & 1)
+    masks: dict[str | None, int] = dict.fromkeys(g.nonterminals, 0)
+    masks[None] = 2  # the terminal: the length 1 only
+    rules = [(lhs, [None if sym == "a" else sym for sym in rhs]) for lhs, rhs in g.productions]
+    grew = True
+    while grew:
+        grew = False
+        for lhs, rhs in rules:
+            mask = 1
+            for sym in rhs:
+                mask = _sumset(mask, masks[sym], width)
+            if mask & ~masks[lhs]:
+                masks[lhs] |= mask
+                grew = True
+    return bool(masks[g.axiom] >> n & 1)
 
 
 def parse_cfg(text: str) -> UnaryCfg:

@@ -491,15 +491,14 @@ def transcript_to_characteristic(tp: TranscriptPair) -> IndicatorPair:
         prefix = slp.concat(prefix, slp.literal("f", EVENT_ALPHABET))
         loop = slp.literal("a", EVENT_ALPHABET)
 
-    plen = slp.length(prefix)
-    first_bit = slp.first_symbol(prefix if plen else loop) == "f"
-
     st = slp._Store(BIT_ALPHABET)
-    img_pre = _FusedImage(st, slp.to_cnf(prefix)) if plen else None
+    img_pre = _FusedImage(st, slp.to_cnf(prefix)) if slp.length(prefix) else None
     img_loop = _FusedImage(st, slp.to_cnf(loop))
-    loop_first = slp.first_symbol(loop)
-    loop_last = slp.last_symbol(loop)
-    pre_last = slp.last_symbol(prefix) if plen else None
+    loop_first = img_loop.first[img_loop.axiom]
+    loop_last = img_loop.last[img_loop.axiom]
+    pre_last = img_pre.last[img_pre.axiom] if img_pre else None
+    head_img = img_pre or img_loop
+    first_bit = head_img.first[head_img.axiom] == "f"
 
     u = img_pre.image() if img_pre else st.add(())
     w = img_loop.image()

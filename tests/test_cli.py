@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from pdapress import cli, slp, translate, udpda
+from pdapress import cli, intexpr, slp, translate, udpda
 from pdapress.cli import main
 from pdapress.errors import FuelExhausted
 
@@ -270,6 +270,46 @@ class TestCheckOutputs:
         bad.write_text(text)
         code, out, err = run(capsys, "slp", "compare", bad, files / "p101.slp")
         assert code == 2 and out == "" and problem in err
+
+
+# 3,000 nested parentheses around a constant, each closed by an operator
+NESTED = "(" * 3000 + "1" + "".join((")|1", ")+1", ")*", ")+2")[i % 4] for i in range(3000))
+
+
+class TestDeepInputs:
+    """Inputs nested far deeper than Python's recursion limit get answers.
+
+    Deep trees are compared through their printed form: dataclass equality
+    would recurse."""
+
+    def test_nested_eval(self, capsys, tmp_path):
+        e = tmp_path / "nested.expr"
+        e.write_text(NESTED)
+        assert run(capsys, "intexpr", "eval", e, "--bound", "6") == (0, "2 4 5 6", "")
+
+    def test_nested_expr_to_cfg(self, capsys, tmp_path):
+        e = tmp_path / "nested.expr"
+        e.write_text(NESTED)
+        g = tmp_path / "nested.cfg"
+        assert run(capsys, "convert", "expr-to-cfg", e, "-o", g)[0] == 0
+        cfg = intexpr.parse_cfg(g.read_text())
+        members = intexpr.members_up_to(intexpr.parse_expr(NESTED), 6)
+        assert [n for n in range(7) if intexpr.cfg_membership_unary(cfg, n)] == members
+
+    def test_long_union_eval(self, capsys, tmp_path):
+        # a flat union parses into a left-deep tree 5,000 terms deep
+        e = tmp_path / "union.expr"
+        e.write_text("|".join(str(2 * (i % 50)) for i in range(5000)))
+        assert run(capsys, "intexpr", "eval", e, "--bound", "11") == (0, "0 2 4 6 8 10", "")
+
+    def test_gen_gss_many_entries(self, capsys, tmp_path):
+        expr = tmp_path / "g.expr"
+        u = ",".join(str(i % 7 + 1) for i in range(1500))
+        code, out, _ = run(capsys, "gen", "gss", "--u", u, "--v", "1,2", "--target", "3",
+                           "-o", expr)
+        assert code == 0 and out.startswith("bound: ")
+        text = expr.read_text().strip()
+        assert str(intexpr.parse_expr(text)) == text
 
 
 class TestInternalError:

@@ -178,6 +178,7 @@ class TestCfgFormat:
         g = expr_to_cfg(parse_expr("(1|2)*+3"))
         text = intexpr.format_cfg(g)
         back = intexpr.parse_cfg(text)
+        assert set(back.productions) == set(g.productions) and back.axiom == g.axiom
         for n in range(12):
             assert cfg_membership_unary(back, n) == cfg_membership_unary(g, n)
         assert intexpr.format_cfg(back) == text

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, note, settings
+from hypothesis import strategies as st
 
 from pdapress import slp, translate, udpda
 from pdapress.errors import FormatError, FuelExhausted, NotDeterministic
@@ -194,6 +196,32 @@ class TestSimulation:
         assert udpda.run_prefix(m, 12) == "1" * 12
         assert translate.udpda_to_indicator(m).sequence(12) == "1" * 12
 
+    @pytest.mark.parametrize("k", [8, 12, 16])
+    @pytest.mark.parametrize("reading, final, expected", [
+        (True, True, "1" * 12),
+        (True, False, "0" * 12),
+        (False, True, "1" + "0" * 11),
+        (False, False, "0" * 12),
+    ])
+    def test_long_silent_prelude(self, k, reading, final, expected):
+        # the gadget walk of 0^(2^k) with its reads cleared is an input-free
+        # prelude of more than 2^k moves; it ends in a reading or a silent,
+        # final or non-final loop at the bottom
+        g = translate._Gadgets()
+        entry, exit_ = translate._slp_machine(g, slp.power(slp.literal("0"), 2**k), "s")
+        g.reading.clear()
+        g.pop[(exit_, BOTTOM)] = "r"
+        g.internal["r"] = "r"
+        if reading:
+            g.reading.add("r")
+        if final:
+            g.finals.add("r")
+        m = translate._assemble(g, entry)
+        assert udpda.run_prefix(m, 12) == expected
+        assert translate.udpda_to_indicator(m).sequence(12) == expected
+        with pytest.raises(FuelExhausted):
+            udpda.run_prefix(m, 12, fuel=500)
+
     def test_fuel_backstop(self):
         # a 300-step silent chain ending at a final reading state, with fuel
         # below its length: both simulators report the exhausted fuel
@@ -210,6 +238,20 @@ class TestSimulation:
             udpda.membership_sim(m, 3, fuel=10)
         # with enough fuel the chain is walked and the truth comes out
         assert udpda.run_prefix(m, 5, fuel=5000) == "11111"
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.randoms(use_true_random=False))
+def test_three_semantics_agree(rng):
+    # the textbook stepper, the simulator on the normalized machine, and the
+    # compressed pipeline give the same characteristic bits; hypothesis
+    # drives the generator's choices, so a failure shrinks to a machine with
+    # few states, few stack symbols and missing moves
+    a = random_raw_udpda(rng)
+    note(a)
+    want = raw_run_prefix(a, 300, fuel=20000)
+    assert udpda.run_prefix(udpda.normalize(a), 300) == want
+    assert translate.udpda_to_indicator(a).sequence(300) == want
 
 
 class TestFormat:
