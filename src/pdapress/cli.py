@@ -259,7 +259,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="evaluation bound for integer expressions")
     common.add_argument("--cap", type=int, default=4096,
                         help="expansion cap for exact word comparison")
-    common.add_argument("--seed", type=int, default=0, help="fingerprint seed")
+    common.add_argument("--seed", type=int, default=0,
+                        help="picks the fingerprint's evaluation point "
+                             "for words longer than --cap")
     common.add_argument("--tight-stack", action="store_true",
                         help="no effect, kept for old command lines: machines "
                              "always use a bounded stack alphabet")
@@ -317,10 +319,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except ToolError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_ERROR
-    except (OSError, ValueError) as e:
+    except (ToolError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
     except IndexError:

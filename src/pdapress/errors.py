@@ -69,6 +69,15 @@ class MalformedPair(ToolError):
     pass
 
 
+class WordTooLong(ToolError):
+    """A word is too long for every tabled fingerprint modulus."""
+
+    def __init__(self, length: int):
+        super().__init__(f"a word of length at least 2^{length.bit_length() - 1} is too long "
+                         "for every tabled Mersenne modulus")
+        self.length = length
+
+
 class FormatError(ToolError):
     """A text input (.slp / .updpa / pair / expression file) failed to parse."""
 

@@ -28,6 +28,7 @@ from .errors import (
     IndexOutOfRange,
     NonIntegralResult,
     SymbolMismatch,
+    WordTooLong,
 )
 
 
@@ -278,7 +279,7 @@ class _Store:
                 stack.extend(reversed(self.prods[s]))
         return "".join(out)
 
-    def build(self, axiom_sym: str, alphabet: Iterable[str] | None = None) -> Slp:
+    def build(self, axiom_sym: str) -> Slp:
         """Extract the grammar reachable from axiom_sym as a canonical Slp.
 
         Productions are renamed N0, N1, ... in first-visit order with the
@@ -300,7 +301,7 @@ class _Store:
             names[n]: tuple(s if s in self.alphabet else names[s] for s in self.prods[n])
             for n in order
         }
-        return Slp(self.alphabet if alphabet is None else alphabet, prods, "N0")
+        return Slp(self.alphabet, prods, "N0")
 
 
 def _take_sym(st: _Store, sym: str, k: int) -> str:
@@ -483,43 +484,14 @@ def size(p: Slp) -> int:
     return len(to_cnf(p).productions)
 
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _is_prime(n: int) -> bool:
-    # Deterministic Miller-Rabin, valid far beyond the 60-bit range used here.
-    if n < 2:
-        return False
-    for q in _MR_BASES:
-        if n % q == 0:
-            return n == q
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _random_prime(rng: random.Random) -> int:
-    n = rng.randrange(1 << 59, 1 << 60) | 1
-    while not _is_prime(n):
-        n += 2
-    return n
+# Exponents e of the Mersenne primes 2**e - 1 (OEIS A000043) above 64.
+_MERSENNE = (89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423, 9689,
+             9941, 11213, 19937, 21701, 23209, 44497, 86243, 110503, 132049,
+             216091)
 
 
 def _fingerprint(p: Slp, digits: Mapping[str, int], base: int, mod: int) -> int:
-    """Generated word read as a base-|alphabet| number, modulo a prime."""
+    """Generated word read as a number in the given base, modulo mod."""
     # per nonterminal: (value, base ** length) modulo mod, bottom-up
     vals: dict[str, tuple[int, int]] = {s: (d, base) for s, d in digits.items()}
     for name in _toposort(p, [p.axiom]):
@@ -532,21 +504,18 @@ def _fingerprint(p: Slp, digits: Mapping[str, int], base: int, mod: int) -> int:
     return vals[p.axiom][0]
 
 
-def equal(
-    p1: Slp,
-    p2: Slp,
-    *,
-    exact_threshold: int = 4096,
-    fingerprints: int = 3,
-    seed: int = 0,
-) -> bool:
+def equal(p1: Slp, p2: Slp, *, exact_threshold: int = 4096, seed: int = 0) -> bool:
     """Whether both programs generate the same word.
 
     Lengths are compared first; words up to exact_threshold are expanded and
-    compared exactly.  Longer words are compared through modular
-    fingerprints for `fingerprints` independently drawn word-size primes.
-    The error is one-sided: False is always correct, True is wrong with
-    probability at most (|word| / 2**60) ** fingerprints.
+    compared exactly.  A longer word of length n is read as a polynomial of
+    degree below n, one coefficient per symbol, and both polynomials are
+    evaluated at one point r drawn by `seed` from [2, P), modulo the Mersenne
+    prime P = 2**e - 1 for the least tabled e >= n.bit_length() + 64
+    (Schwartz 1980).  Two different words differ by a nonzero polynomial
+    with fewer than n roots, so the error is one-sided: False is always
+    correct, and True is wrong with probability below 2**-64 at every
+    length.  A word too long for the table raises WordTooLong.
     """
     if p1.alphabet != p2.alphabet:
         raise AlphabetMismatch(f"{sorted(p1.alphabet)} vs {sorted(p2.alphabet)}")
@@ -555,14 +524,13 @@ def equal(
         return False
     if n <= exact_threshold:
         return expand(p1, n) == expand(p2, n)
+    e = next((e for e in _MERSENNE if e >= n.bit_length() + 64), None)
+    if e is None:
+        raise WordTooLong(n)
+    mod = (1 << e) - 1
     digits = {sym: i for i, sym in enumerate(sorted(p1.alphabet))}
-    base = max(2, len(digits))
-    rng = random.Random(seed)
-    for _ in range(fingerprints):
-        mod = _random_prime(rng)
-        if _fingerprint(p1, digits, base, mod) != _fingerprint(p2, digits, base, mod):
-            return False
-    return True
+    r = random.Random(seed).randrange(2, mod)
+    return _fingerprint(p1, digits, r, mod) == _fingerprint(p2, digits, r, mod)
 
 
 def parse_slp(text: str) -> Slp:

@@ -165,21 +165,19 @@ def normalize(a: RawUnpda) -> NormalUdpda:
     moves = {(t[0], t[2]): t for t in a.transitions}
     if len(moves) < len(a.transitions):  # two moves share a (state, top) pair
         raise NotDeterministic(check_deterministic(a))
-    taken: set[str] = set()
-    base = {q: _uniquify(q, taken) for q in sorted(a.states)}
+    taken = set(a.states)
     dead = _uniquify("dead", taken)
 
     internal: dict[str, str] = {dead: dead}
     push: dict[str, tuple[str, str]] = {}
     pop: dict[tuple[str, str], str] = {}
     reading = {dead}
-    finals = {base[q] for q in sorted(a.finals)}
 
     for q in sorted(a.states):
         for gamma in sorted(a.stack_alphabet):
             t = moves.get((q, gamma))
             if t is None:
-                pop[(base[q], gamma)] = dead
+                pop[(q, gamma)] = dead
                 continue
             _, sigma, _, q2, s = t
             if gamma == a.bottom:
@@ -187,7 +185,7 @@ def normalize(a: RawUnpda) -> NormalUdpda:
             else:
                 pushes = list(s)
             # Chain: [read] then pushes applied bottom-up, landing at q2.
-            target = base[q2]
+            target = q2
             for i, sym in enumerate(pushes):
                 node = _uniquify(f"{q}.{gamma}.push{i}", taken)
                 push[node] = (target, sym)
@@ -197,14 +195,14 @@ def normalize(a: RawUnpda) -> NormalUdpda:
                 internal[node] = target
                 reading.add(node)
                 target = node
-            pop[(base[q], gamma)] = target
+            pop[(q, gamma)] = target
     return NormalUdpda(
         internal=internal,
         push=push,
         pop=pop,
         reading=frozenset(reading),
-        initial=base[a.initial],
-        finals=frozenset(finals),
+        initial=a.initial,
+        finals=frozenset(a.finals),
         stack_alphabet=a.stack_alphabet,
         bottom=a.bottom,
     )

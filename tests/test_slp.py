@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from pdapress import slp
+from pdapress import cli, slp
 from pdapress.errors import (
     AlphabetMismatch,
     BadRange,
@@ -16,6 +16,7 @@ from pdapress.errors import (
     IndexOutOfRange,
     NonIntegralResult,
     SymbolMismatch,
+    WordTooLong,
 )
 from pdapress.slp import Slp
 
@@ -207,11 +208,11 @@ class TestEqual:
         rng = random.Random(16)
         for alphabet in ("01", "abc"):
             digits = {sym: i for i, sym in enumerate(sorted(alphabet))}
-            base = len(alphabet)
             for _ in range(60):
                 # wide and empty right-hand sides alike
                 p = random_slp(rng, alphabet, max_prods=10, max_arity=12, max_len=5000)
-                mod = slp._random_prime(rng)
+                mod = (1 << rng.choice(slp._MERSENNE[:4])) - 1
+                base = rng.randrange(2, mod)
                 want = 0
                 for sym in slp.expand(p, 5000):
                     want = (want * base + digits[sym]) % mod
@@ -222,6 +223,51 @@ class TestEqual:
         b = slp.power(slp.literal("01"), 1 << 20)
         for seed in range(5):
             assert slp.equal(a, b, seed=seed)
+
+    def test_mersenne_table(self):
+        def lucas_lehmer(e):  # whether 2**e - 1 is prime, for an odd prime e
+            m = (1 << e) - 1
+            x = 4
+            for _ in range(e - 2):
+                x = (x * x - 2) % m
+            return x == 0
+
+        table = slp._MERSENNE
+        assert list(table) == sorted(set(table))
+        assert all(e > 2 and all(e % d for d in range(2, int(e ** 0.5) + 1)) for e in table)
+        assert not lucas_lehmer(11) and not lucas_lehmer(23)
+        assert all(lucas_lehmer(e) for e in table if e <= 4423)
+
+    def test_long_words_one_symbol_apart(self):
+        def chunked(word, alphabet, k):  # the same word as blocks of k symbols
+            prods = {f"B{i}": tuple(word[j:j + k])
+                     for i, j in enumerate(range(0, len(word), k))}
+            return Slp(alphabet, {"S": tuple(prods), **prods}, "S")
+
+        for seed in range(4):
+            rng = random.Random(seed)
+            for alphabet in ("01", "abc"):
+                word = "".join(rng.choices(alphabet, k=rng.randint(5000, 100_000)))
+                p = slp.literal(word, alphabet)
+                assert slp.equal(p, chunked(word, alphabet, rng.randint(2, 300)), seed=seed)
+                for i in (0, len(word) - 1, rng.randrange(len(word))):
+                    other = rng.choice([c for c in alphabet if c != word[i]])
+                    changed = word[:i] + other + word[i + 1:]
+                    q = chunked(changed, alphabet, rng.randint(2, 300))
+                    assert not slp.equal(p, q, seed=seed), (seed, alphabet, i)
+
+    def test_word_past_the_table(self, monkeypatch, tmp_path, capsys):
+        a = slp.power(slp.literal("01"), 1 << 29)
+        b = slp.power(slp.power(slp.literal("01"), 1 << 14), 1 << 15)
+        assert slp.length(a) == 1 << 30
+        assert slp.equal(a, b)
+        monkeypatch.setattr(slp, "_MERSENNE", (89,))
+        with pytest.raises(WordTooLong, match=r"2\^30"):
+            slp.equal(a, b)
+        for name, p in (("a.slp", a), ("b.slp", b)):
+            (tmp_path / name).write_text(slp.format_slp(p))
+        assert cli.main(["slp", "equal", str(tmp_path / "a.slp"), str(tmp_path / "b.slp")]) == 2
+        assert "2^30" in capsys.readouterr().err
 
 
 class TestFormat:
