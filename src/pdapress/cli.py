@@ -19,7 +19,7 @@ import time
 from pathlib import Path
 
 from . import compare, decide, intexpr, reductions, slp, translate, udpda
-from .errors import FuelExhausted, ToolError
+from .errors import FuelExhausted, ToolError, format_int, parse_int
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -65,7 +65,7 @@ def _emit(args, verdict: str, witness=None, sizes=None, started=None, extra=None
     elif verdict == "budget_exceeded":
         print("budget exceeded")
     elif witness is not None:
-        print(f"no (witness n={witness})")
+        print(f"no (witness n={format_int(witness)})")
     else:
         print("no")
     return code
@@ -133,7 +133,7 @@ def cmd_decide(args) -> int:
     a1 = _load_machine(args.inputs[0])
     sizes = {"machine1": a1.size}
     if verb == "member":
-        ok = decide.compressed_membership(a1, int(args.inputs[1], 0))
+        ok = decide.compressed_membership(a1, parse_int(args.inputs[1]))
         return _emit(args, "yes" if ok else "no", sizes=sizes, started=started)
     if verb == "empty":
         return _emit(args, "yes" if decide.emptiness(a1) else "no", sizes=sizes, started=started)
@@ -154,9 +154,10 @@ def cmd_slp(args) -> int:
     verb = args.what
     p1 = slp.parse_slp(_read(args.inputs[0]))
     if verb == "len":
-        return _emit_value(args, str(slp.length(p1)), started, length=str(slp.length(p1)))
+        n = format_int(slp.length(p1))
+        return _emit_value(args, n, started, length=n)
     if verb == "query":
-        sym = slp.query(p1, int(args.inputs[1], 0))
+        sym = slp.query(p1, parse_int(args.inputs[1]))
         return _emit_value(args, sym, started, symbol=sym)
     p2 = slp.parse_slp(_read(args.inputs[1]))
     sizes = {"slp1": slp.size(p1), "slp2": slp.size(p2)}
@@ -234,7 +235,7 @@ def cmd_gen(args) -> int:
 def cmd_sim(args) -> int:
     started = time.monotonic()
     machine = _load_machine(args.inputs[0])
-    n = int(args.inputs[1], 0)
+    n = parse_int(args.inputs[1])
     try:
         if args.what == "prefix":
             bits = udpda.run_prefix(machine, n)

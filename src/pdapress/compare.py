@@ -18,7 +18,7 @@ from itertools import count, groupby
 from typing import Iterable
 
 from . import slp
-from .errors import LengthMismatch
+from .errors import LengthMismatch, format_int
 from .slp import Slp
 
 DEFAULT_BUDGET = 1 << 22
@@ -178,7 +178,7 @@ def comp_slp(
     """
     n = slp.length(p1)
     if n != slp.length(p2):
-        raise LengthMismatch(f"lengths {n} and {slp.length(p2)} differ")
+        raise LengthMismatch(f"lengths {format_int(n)} and {format_int(slp.length(p2))} differ")
     if not p1.alphabet <= relation.alphabet or not p2.alphabet <= relation.alphabet:
         raise ValueError("word alphabets must be contained in the relation's alphabet")
     bits = {x: 1 << i for i, x in enumerate(sorted(relation.alphabet))}

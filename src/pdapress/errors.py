@@ -1,4 +1,25 @@
-"""Exception types raised on contract violations, shared across the package."""
+"""Exception types raised on contract violations, shared across the package,
+and the integer formatting their messages use."""
+
+import decimal
+import re
+
+_DECIMAL = re.compile(r"[+-]?(?:0+|[1-9][0-9]*)")
+
+
+def format_int(n: int) -> str:
+    """Decimal digits of n at any size; str() refuses past 4,300 digits."""
+    return str(decimal.Decimal(n))
+
+
+def parse_int(text: str) -> int:
+    """int(text, 0), also for a plain decimal string too long for it."""
+    try:
+        return int(text, 0)
+    except ValueError:
+        if not _DECIMAL.fullmatch(text):
+            raise
+        return int(decimal.Decimal(text))
 
 
 class ToolError(Exception):
@@ -9,7 +30,7 @@ class CapExceeded(ToolError):
     """Expansion was requested for a word longer than the allowed cap."""
 
     def __init__(self, length: int):
-        super().__init__(f"generated word has length {length}, beyond the cap")
+        super().__init__(f"generated word has length {format_int(length)}, beyond the cap")
         self.length = length
 
 

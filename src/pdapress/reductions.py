@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import intexpr, slp
-from .errors import BadTarget, LengthMismatch
+from .errors import BadTarget, LengthMismatch, format_int
 from .intexpr import Const, Double, IntExpr, Star, Sum, Union
 from .slp import Slp
 from .translate import IndicatorPair, indicator_to_udpda
@@ -124,7 +124,7 @@ def gen_compslp_to_inclusion(p1: Slp, p2: Slp, p0: Slp) -> tuple[NormalUdpda, No
     """
     if slp.length(p1) != slp.length(p2):
         raise LengthMismatch(
-            f"lengths {slp.length(p1)} and {slp.length(p2)} differ"
+            f"lengths {format_int(slp.length(p1))} and {format_int(slp.length(p2))} differ"
         )
     a1 = indicator_to_udpda(IndicatorPair(p1, p0))
     a2 = indicator_to_udpda(IndicatorPair(p2, p0))

@@ -29,6 +29,7 @@ from .errors import (
     NonIntegralResult,
     SymbolMismatch,
     WordTooLong,
+    format_int,
 )
 
 
@@ -92,9 +93,9 @@ def validate(p: Slp) -> str | None:
     return None
 
 
-def _toposort(p: Slp, roots) -> list[str]:
-    """Children-first order of the productions reachable from roots; a
-    cycle raises ValueError("cycle at X").
+def _toposort(p: Slp | _Store, roots) -> list[str]:
+    """Children-first order of the productions reachable from roots, in a
+    program or a store; a cycle raises ValueError("cycle at X").
 
     A right-hand side wider than two symbols is stepped over its distinct
     symbols only, so a long literal costs one pass at C speed.
@@ -165,7 +166,8 @@ def expand(p: Slp, cap: int) -> str:
 def query(p: Slp, n: int) -> str:
     """The n-th symbol (0-indexed) of the generated word, by length-guided descent."""
     if not 0 <= n < length(p):
-        raise IndexOutOfRange(f"position {n} outside word of length {length(p)}")
+        raise IndexOutOfRange(
+            f"position {format_int(n)} outside word of length {format_int(length(p))}")
     lens = _all_lengths(p)
     sym = p.axiom
     while sym not in p.alphabet:
@@ -215,7 +217,7 @@ class _Store:
 
     def __init__(self, alphabet: Iterable[str]):
         self.alphabet = frozenset(alphabet)
-        self.prods: dict[str, tuple[str, ...]] = {}
+        self.productions: dict[str, tuple[str, ...]] = {}
         self.lengths: dict[str, int] = {}
         self._memo: dict[tuple[str, ...], str] = {}
         self._imports: dict[int, str] = {}
@@ -233,7 +235,7 @@ class _Store:
         if name is None:
             self._next += 1
             name = f"n{self._next}"
-            self.prods[name] = rhs
+            self.productions[name] = rhs
             self.lengths[name] = sum(self.sym_length(s) for s in rhs)
             self._memo[rhs] = name
         return name
@@ -264,26 +266,12 @@ class _Store:
             self._refs.append(p)  # keep alive: the memo is keyed by id
         return local
 
-    def expand_sym(self, sym: str, cap: int) -> str:
-        if self.sym_length(sym) > cap:
-            raise CapExceeded(self.sym_length(sym))
-        if sym in self.alphabet:
-            return sym
-        out: list[str] = []
-        stack = [sym]
-        while stack:
-            s = stack.pop()
-            if s in self.alphabet:
-                out.append(s)
-            else:
-                stack.extend(reversed(self.prods[s]))
-        return "".join(out)
-
     def build(self, axiom_sym: str) -> Slp:
         """Extract the grammar reachable from axiom_sym as a canonical Slp.
 
         Productions are renamed N0, N1, ... in first-visit order with the
-        axiom first, so equal builds give byte-identical programs.
+        axiom first, so equal builds give byte-identical programs.  The
+        program starts with the lengths the store already knows.
         """
         if axiom_sym in self.alphabet:
             axiom_sym = self.add((axiom_sym,))
@@ -292,16 +280,18 @@ class _Store:
         queue = [axiom_sym]
         while queue:
             cur = queue.pop()
-            for s in self.prods[cur]:
+            for s in self.productions[cur]:
                 if s not in self.alphabet and s not in names:
                     names[s] = f"N{len(names)}"
                     order.append(s)
                     queue.append(s)
         prods = {
-            names[n]: tuple(s if s in self.alphabet else names[s] for s in self.prods[n])
+            names[n]: tuple(s if s in self.alphabet else names[s] for s in self.productions[n])
             for n in order
         }
-        return Slp(self.alphabet, prods, "N0")
+        p = Slp(self.alphabet, prods, "N0")
+        p._len_cache = {names[n]: self.lengths[n] for n in order}
+        return p
 
 
 def _take_sym(st: _Store, sym: str, k: int) -> str:
@@ -314,7 +304,7 @@ def _take_sym(st: _Store, sym: str, k: int) -> str:
     while 0 < k < st.sym_length(sym):
         kept: list[str] = []
         child = sym
-        for child in st.prods[sym]:
+        for child in st.productions[sym]:
             n = st.sym_length(child)
             if n > k:
                 break
@@ -337,7 +327,7 @@ def _drop_sym(st: _Store, sym: str, k: int) -> str:
     """Name for sym's word with the first k symbols removed (iterative)."""
     spine: list[tuple[str, ...]] = []  # fully kept suffix children per level
     while 0 < k < st.sym_length(sym):
-        rhs = st.prods[sym]
+        rhs = st.productions[sym]
         i = 0
         for i, child in enumerate(rhs):
             n = st.sym_length(child)
@@ -379,7 +369,7 @@ def slice(p: Slp, a: int, b: int) -> Slp:  # noqa: A001 - deliberate, matches th
     """Program generating the subword at positions [a, b)."""
     n = length(p)
     if not 0 <= a <= b <= n:
-        raise BadRange(f"[{a}, {b}) not within [0, {n})")
+        raise BadRange(f"[{format_int(a)}, {format_int(b)}) not within [0, {format_int(n)})")
     st = _Store(p.alphabet)
     return st.build(_take_sym(st, _drop_sym(st, st.imp(p), a), b - a))
 
@@ -391,13 +381,14 @@ def power(p: Slp, num: int, den: int = 1) -> Slp:
     logarithmically many doublings plus one slice.
     """
     if den < 1 or num < 0:
-        raise BadRange(f"exponent {num}/{den} out of range")
+        raise BadRange(f"exponent {format_int(num)}/{format_int(den)} out of range")
     n = length(p)
     if n == 0:
         raise EmptyBase("cannot raise the empty word to a power")
     total = num * n
     if total % den:
-        raise NonIntegralResult(f"({num}/{den}) * {n} is not an integer")
+        raise NonIntegralResult(
+            f"({format_int(num)}/{format_int(den)}) * {format_int(n)} is not an integer")
     whole, rest = divmod(total // den, n)
     st = _Store(p.alphabet)
     ax = st.imp(p)
@@ -413,7 +404,7 @@ def cyclic_shift(p: Slp, s: int) -> Slp:
     """Program for w[s, |w|) . w[0, s)."""
     n = length(p)
     if n < 1 or not 0 <= s < n:
-        raise BadShift(f"shift {s} invalid for word of length {n}")
+        raise BadShift(f"shift {format_int(s)} invalid for word of length {format_int(n)}")
     st = _Store(p.alphabet)
     ax = st.imp(p)
     return st.build(st.add((_drop_sym(st, ax, s), _take_sym(st, ax, s))))
@@ -449,32 +440,31 @@ def trim(p: Slp, end: str, symbol: str) -> Slp:
     return slice(p, 1, n) if end == "front" else slice(p, 0, n - 1)
 
 
-def to_cnf(p: Slp) -> Slp:
-    """Equivalent program in Chomsky normal form.
+def _cnf(g: Slp | _Store, root: str, st: _Store) -> str | None:
+    """Name in st for root's word of the grammar g in Chomsky normal form;
+    None for the empty word.
 
     Empty and chain productions are eliminated, longer right-hand sides are
     binarized by a left fold, and terminal wrappers are shared, so the result
     is deterministic.
     """
-    if length(p) == 0:
-        raise EmptyWord("the empty word has no Chomsky normal form")
-    lens = _all_lengths(p)
-    st = _Store(p.alphabet)
-    mapping: dict[str, str] = {}
-    for name in _toposort(p, [p.axiom]):
-        if lens[name] == 0:
-            continue
-        parts: list[str] = []
-        for s in p.productions[name]:
-            if s in p.alphabet:
-                parts.append(st.add((s,)))
-            elif lens[s] > 0:
-                parts.append(mapping[s])
-        cur = parts[0]
+    mapping: dict[str, str | None] = {s: st.add((s,)) for s in g.alphabet}
+    for name in _toposort(g, [root]):
+        parts = [m for m in map(mapping.__getitem__, g.productions[name]) if m]
+        cur = parts[0] if parts else None
         for nxt in parts[1:]:
             cur = st.add((cur, nxt))
         mapping[name] = cur
-    return st.build(mapping[p.axiom])
+    return mapping[root]
+
+
+def to_cnf(p: Slp) -> Slp:
+    """Equivalent program in Chomsky normal form (see _cnf)."""
+    st = _Store(p.alphabet)
+    root = _cnf(p, p.axiom, st)
+    if root is None:
+        raise EmptyWord("the empty word has no Chomsky normal form")
+    return st.build(root)
 
 
 def size(p: Slp) -> int:

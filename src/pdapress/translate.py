@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 from . import slp
-from .errors import BadRange, EmptyWord, FormatError, MalformedPair
+from .errors import BadRange, EmptyWord, FormatError, MalformedPair, format_int
 from .slp import Slp
 from .udpda import DEFAULT_BOTTOM, NormalUdpda, RawUnpda, normalize
 
@@ -26,16 +26,21 @@ BIT_ALPHABET = frozenset("01")
 EVENT_ALPHABET = frozenset("af")
 
 
+def _import(st: slp._Store, p: Slp) -> str:
+    """Copy p into a store over a possibly larger alphabet (names are refreshed)."""
+    if not p.alphabet <= st.alphabet:
+        raise MalformedPair(
+            f"alphabet {sorted(p.alphabet)} not within {sorted(st.alphabet)}"
+        )
+    return st.imp(p)
+
+
 def _widen(p: Slp, alphabet: frozenset[str]) -> Slp:
-    """The same word over a possibly larger alphabet (names are refreshed)."""
+    """The same word over a possibly larger alphabet."""
     if p.alphabet == alphabet:
         return p
-    if not p.alphabet <= alphabet:
-        raise MalformedPair(
-            f"alphabet {sorted(p.alphabet)} not within {sorted(alphabet)}"
-        )
     st = slp._Store(alphabet)
-    return st.build(st.imp(p))
+    return st.build(_import(st, p))
 
 
 @dataclass(frozen=True)
@@ -61,7 +66,7 @@ class _Pair:
         of the loop, where q, r = divmod(n - |prefix|, |loop|); empty parts
         are left out."""
         if n < 0:
-            raise BadRange(f"window of negative length {n}")
+            raise BadRange(f"window of negative length {format_int(n)}")
         st = slp._Store(self.ALPHABET)
         pre = st.imp(self.prefix)
         plen = st.sym_length(pre)
@@ -142,9 +147,9 @@ class _Gadgets:
         self.stack: set[str] = set()
 
 
-def _slp_machine(g: _Gadgets, p: Slp, ns: str) -> tuple[str, str]:
-    """Add the gadget-per-nonterminal machine for a program over {0, 1} to
-    g; returns the axiom's entry and exit states.
+def _slp_machine(g: _Gadgets, store: slp._Store, sym: str, ns: str) -> tuple[str, str]:
+    """Add the gadget-per-nonterminal machine for the word of sym in a store
+    over {0, 1} to g; returns the axiom's entry and exit states.
 
     Each nonterminal N gets an entry state and an exit state; the exit state
     only has outgoing pop moves.  A terminal production becomes a reading
@@ -153,11 +158,11 @@ def _slp_machine(g: _Gadgets, p: Slp, ns: str) -> tuple[str, str]:
     first makes every nonterminal occur at most twice, so the k-th
     occurrence pushes marker k and the program needs two markers in all.
     """
-    if not p.alphabet <= BIT_ALPHABET:
-        raise ValueError("machine construction expects a program over {0, 1}")
-    if slp.length(p) == 0:
+    cnf = slp._Store(BIT_ALPHABET)
+    root = slp._cnf(store, sym, cnf)
+    if root is None:
         raise EmptyWord("cannot build a machine for the empty word")
-    prods = _reduce_fanout(slp.to_cnf(p).productions)
+    prods = _reduce_fanout(cnf.build(root).productions)
     entry = {n: f"{ns}.i.{n}" for n in prods}
     exit_ = {n: f"{ns}.o.{n}" for n in prods}
     seen: dict[str, int] = {}
@@ -178,7 +183,7 @@ def _slp_machine(g: _Gadgets, p: Slp, ns: str) -> tuple[str, str]:
             landing = exit_[name] if pos == len(rhs) - 1 else f"{ns}.m.{name}.{pos}"
             g.pop[(exit_[child], sym)] = landing
             prev = landing
-    axiom = next(iter(prods))  # to_cnf puts the axiom first
+    axiom = next(iter(prods))  # build puts the axiom first
     return entry[axiom], exit_[axiom]
 
 
@@ -213,8 +218,9 @@ def slp_to_udpda(p: Slp) -> NormalUdpda:
     input and pops the bottom symbol forever, so the machine reaches it with
     an empty stack after exactly |str p| reads and accepts nothing beyond.
     """
+    st = slp._Store(BIT_ALPHABET)
     g = _Gadgets()
-    entry, exit_ = _slp_machine(g, _widen(p, BIT_ALPHABET), "s")
+    entry, exit_ = _slp_machine(g, st, _import(st, p), "s")
     g.pop[(exit_, DEFAULT_BOTTOM)] = HALT_STATE
     g.reading.add(HALT_STATE)
     g.pop[(HALT_STATE, DEFAULT_BOTTOM)] = HALT_STATE
@@ -228,20 +234,18 @@ def indicator_to_udpda(ip: IndicatorPair) -> NormalUdpda:
     machines for the rest of the prefix and for the loop are chained with
     input-free edges, with the loop machine's exit wired back to its entry.
     """
-    plen = slp.length(ip.prefix)
-    if plen:
-        b = slp.query(ip.prefix, 0) == "1"
-        tail = slp.slice(ip.prefix, 1, plen)
-    else:
-        b = slp.query(ip.loop, 0) == "1"
-        tail = slp.slice(ip.loop, 1, slp.length(ip.loop))
+    head = ip.prefix if slp.length(ip.prefix) else ip.loop
+    b = slp.query(head, 0) == "1"
+    st = slp._Store(BIT_ALPHABET)
+    loop = st.imp(ip.loop)
+    tail = slp._drop_sym(st, st.imp(head), 1)
 
     g = _Gadgets()
-    loop_entry, loop_exit = _slp_machine(g, ip.loop, "l")
+    loop_entry, loop_exit = _slp_machine(g, st, loop, "l")
     g.internal[loop_exit] = loop_entry
     entry = loop_entry
-    if slp.length(tail):
-        entry, tail_exit = _slp_machine(g, tail, "p")
+    if st.sym_length(tail):
+        entry, tail_exit = _slp_machine(g, st, tail, "p")
         g.internal[tail_exit] = loop_entry
     g.internal["start"] = entry
     if b:
@@ -367,11 +371,6 @@ class TranscriptWorkspace:
             path.pop()
             del on_path[q]
 
-    def main_stage(self):
-        """Resolve every state; the transcript itself resolves on demand."""
-        for q in list(self.edge):
-            self.resolve(q)
-
     def bottom_stage(self) -> tuple[str, str]:
         """Chain return segments across bottom-symbol moves from the initial
         state, resolving each state on the chain first; returns store names
@@ -419,23 +418,22 @@ def udpda_to_transcript(a: NormalUdpda) -> TranscriptPair:
 
 
 class _FusedImage:
-    """Bottom-up image of a program over {a, f} under af -> 1, a -> 0 and
+    """Bottom-up image of words over {a, f} under af -> 1, a -> 0 and
     f -> empty, written into a store over {0, 1}.
 
-    Works on the Chomsky normal form; a production N -> A B fuses when A's
-    word ends with a and B's starts with f.  A variant that drops a trailing
-    a is produced on demand, the way the trimmed nonterminal N a^-1 is
-    defined alongside the original; no variant drops a leading f, since an
-    f maps to the empty word anyway.
+    Works on a store in Chomsky normal form; a production N -> A B fuses
+    when A's word ends with a and B's starts with f.  A variant that drops a
+    trailing a is produced on demand, the way the trimmed nonterminal N a^-1
+    is defined alongside the original; no variant drops a leading f, since
+    an f maps to the empty word anyway.
     """
 
-    def __init__(self, store: slp._Store, cnf: Slp):
+    def __init__(self, store: slp._Store, cnf: slp._Store, roots):
         self.st = store
         self.prods = cnf.productions
-        self.axiom = cnf.axiom
         self.first: dict[str, str] = {}
         self.last: dict[str, str] = {}
-        for name in slp._toposort(cnf, [cnf.axiom]):
+        for name in slp._toposort(cnf, roots):
             rhs = self.prods[name]
             if len(rhs) == 1:
                 self.first[name] = self.last[name] = rhs[0]
@@ -444,9 +442,9 @@ class _FusedImage:
                 self.last[name] = self.last[rhs[1]]
         self.memo: dict[tuple[str, bool], str] = {}
 
-    def image(self, drop_a: bool = False) -> str:
+    def image(self, root: str, drop_a: bool = False) -> str:
         # explicit work stack: grammars may be deeper than the recursion budget
-        goal = (self.axiom, drop_a)
+        goal = (root, drop_a)
         memo = self.memo
         stack = [goal]
         while stack:
@@ -476,6 +474,38 @@ class _FusedImage:
         return memo[goal]
 
 
+def _characteristic(src: slp._Store, prefix: str, loop: str) -> IndicatorPair:
+    """Indicator pair for the transcript pair (prefix, loop) of a store over
+    {a, f}; see transcript_to_characteristic."""
+    cnf = slp._Store(EVENT_ALPHABET)
+    pre_c, loop_c = slp._cnf(src, prefix, cnf), slp._cnf(src, loop, cnf)
+    st = slp._Store(BIT_ALPHABET)
+    img = _FusedImage(st, cnf, [r for r in (pre_c, loop_c) if r])
+    w = img.image(loop_c) if loop_c else st.add(())
+    if not st.sym_length(w):
+        # every a yields one bit, so the loop has none: the machine stops
+        # reading; pad with a's, keeping one f of a non-empty loop
+        if loop_c:
+            prefix = src.add((prefix, "f"))
+        return _characteristic(src, prefix, src.add(("a",)))
+
+    loop_first, loop_last = img.first[loop_c], img.last[loop_c]
+    pre_last = img.last[pre_c] if pre_c else None
+    first_bit = img.first[pre_c or loop_c] == "f"
+    u = img.image(pre_c) if pre_c else st.add(())
+    if loop_first == "f" and loop_last == "a":
+        # every junction fuses: the loop loses its leading f and trailing a
+        w = st.add((img.image(loop_c, drop_a=True), "1"))
+        if pre_last == "a":
+            u = st.add((img.image(pre_c, drop_a=True), "1"))
+    elif loop_first == "f" and pre_last == "a":
+        # only the first junction can fuse
+        u = st.add((img.image(pre_c, drop_a=True), "1", w))
+
+    head = st.add(("1" if first_bit else "0",))
+    return IndicatorPair(st.build(st.add((head, u))), st.build(w))
+
+
 def transcript_to_characteristic(tp: TranscriptPair) -> IndicatorPair:
     """Indicator pair for the characteristic sequence the transcript defines.
 
@@ -486,40 +516,16 @@ def transcript_to_characteristic(tp: TranscriptPair) -> IndicatorPair:
     without any a (the machine stops reading) is first replaced by a plain
     'a' loop, moving its single meaningful f, if any, into the prefix.
     """
-    prefix, loop = tp.prefix, tp.loop
-    if slp.count(loop, "a") == 0:
-        prefix = slp.concat(prefix, slp.literal("f", EVENT_ALPHABET))
-        loop = slp.literal("a", EVENT_ALPHABET)
-
-    st = slp._Store(BIT_ALPHABET)
-    img_pre = _FusedImage(st, slp.to_cnf(prefix)) if slp.length(prefix) else None
-    img_loop = _FusedImage(st, slp.to_cnf(loop))
-    loop_first = img_loop.first[img_loop.axiom]
-    loop_last = img_loop.last[img_loop.axiom]
-    pre_last = img_pre.last[img_pre.axiom] if img_pre else None
-    head_img = img_pre or img_loop
-    first_bit = head_img.first[head_img.axiom] == "f"
-
-    u = img_pre.image() if img_pre else st.add(())
-    w = img_loop.image()
-    if loop_first == "f" and loop_last == "a":
-        # every junction fuses: the loop loses its leading f and trailing a
-        w = st.add((img_loop.image(drop_a=True), "1"))
-        if pre_last == "a":
-            u = st.add((img_pre.image(drop_a=True), "1"))
-    elif loop_first == "f" and pre_last == "a":
-        # only the first junction can fuse
-        u = st.add((img_pre.image(drop_a=True), "1", w))
-
-    head = st.add(("1" if first_bit else "0",))
-    return IndicatorPair(st.build(st.add((head, u))), st.build(w))
+    st = slp._Store(EVENT_ALPHABET)
+    return _characteristic(st, st.imp(tp.prefix), st.imp(tp.loop))
 
 
 def udpda_to_indicator(a: RawUnpda | NormalUdpda) -> IndicatorPair:
     """Indicator pair for the machine's language (the full pipeline)."""
     if isinstance(a, RawUnpda):
         a = normalize(a)  # raises NotDeterministic on bad input
-    return transcript_to_characteristic(udpda_to_transcript(a))
+    ws = TranscriptWorkspace(a)
+    return _characteristic(ws.store, *ws.bottom_stage())
 
 
 # ---------------------------------------------------------------------------

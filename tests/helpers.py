@@ -249,7 +249,7 @@ def check_workspace_invariants(ws: TranscriptWorkspace, rule: str):
             continue
         end, events = got
         assert end == ws.exit[q][0], (rule, q)
-        assert events == st.expand_sym(ws.exit[q][1], len(events) + 1), (rule, q)
+        assert events == slp.expand(st.build(ws.exit[q][1]), len(events) + 1), (rule, q)
     # I3: horizontal successors and segment transcripts
     for q in sorted(dom_h):
         got = _segment_events(machine, q, "height")
@@ -257,14 +257,14 @@ def check_workspace_invariants(ws: TranscriptWorkspace, rule: str):
             continue
         end, events = got
         assert end == ws.edge[q][0], (rule, q)
-        assert events == st.expand_sym(ws.edge[q][1], len(events) + 1), (rule, q)
+        assert events == slp.expand(st.build(ws.edge[q][1]), len(events) + 1), (rule, q)
     # I4: pending pushes point at the pushed-to state
     for q in sorted(dom_w):
         assert machine.push[q][0] == ws.edge[q][0], (rule, q)
     # I5: non-returning states and their infinite transcripts
     for q in sorted(ws.nonret):
-        pre = st.expand_sym(ws.nonret[q][0], 10**6)
-        loop = st.expand_sym(ws.nonret[q][1], 10**6)
+        pre = slp.expand(st.build(ws.nonret[q][0]), 10**6)
+        loop = slp.expand(st.build(ws.nonret[q][1]), 10**6)
         limit = min(len(pre) + 3 * max(len(loop), 1), 200)
         events, returned = _stream_events(machine, q, limit)
         assert not returned, (rule, q)
@@ -295,6 +295,13 @@ class CheckedWorkspace(TranscriptWorkspace):
         check_workspace_invariants(self, "R4")
 
 
+def main_stage(ws: TranscriptWorkspace):
+    """Resolve every state of the workspace; the library itself resolves
+    only what the transcript needs, on demand."""
+    for q in list(ws.edge):
+        ws.resolve(q)
+
+
 def checked_transcript(a: NormalUdpda) -> TranscriptPair:
     """udpda_to_transcript on the checked workspace (small machines only).
 
@@ -303,7 +310,7 @@ def checked_transcript(a: NormalUdpda) -> TranscriptPair:
     on-demand transcript of a fresh workspace must give the same pair.
     """
     ws = CheckedWorkspace(a)
-    ws.main_stage()
+    main_stage(ws)
     tp = ws.transcript()
     assert TranscriptWorkspace(a).transcript() == tp
     return tp

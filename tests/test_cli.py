@@ -1,12 +1,25 @@
 """The pda-press command: verbs, exit codes, output formats."""
 
+import argparse
+import decimal
 import json
+import sys
 
 import pytest
 
-from pdapress import cli, intexpr, slp, translate, udpda
+from pdapress import cli, compare, intexpr, slp, translate, udpda
 from pdapress.cli import main
-from pdapress.errors import FuelExhausted
+from pdapress.errors import (
+    BadRange,
+    BadShift,
+    CapExceeded,
+    FuelExhausted,
+    IndexOutOfRange,
+    LengthMismatch,
+    NonIntegralResult,
+    format_int,
+    parse_int,
+)
 
 
 @pytest.fixture()
@@ -310,6 +323,94 @@ class TestDeepInputs:
         assert code == 0 and out.startswith("bound: ")
         text = expr.read_text().strip()
         assert str(intexpr.parse_expr(text)) == text
+
+
+class TestHugeNumbers:
+    """Numbers past Python's 4,300-digit limit on int/str conversion print
+    and parse in decimal, without touching that limit."""
+
+    DEPTH = 15_000  # the doubling chain generates 1^(2^DEPTH)
+    CHAIN = "\n".join(["alphabet: 01", *(f"D{i} -> D{i + 1} D{i + 1}" for i in range(DEPTH)),
+                       f"D{DEPTH} -> 1"]) + "\n"
+
+    @pytest.fixture()
+    def chain(self, tmp_path):
+        path = tmp_path / "chain.slp"
+        path.write_text(self.CHAIN)
+        return path
+
+    @staticmethod
+    def dec(n):
+        return str(decimal.Decimal(n))
+
+    def test_helpers(self):
+        limit = sys.get_int_max_str_digits()
+        big = 7 * 10**4400 + 3  # 4,401 digits
+        assert format_int(big) == "7" + "0" * 4399 + "3"
+        assert format_int(-12) == "-12" and format_int(0) == "0"
+        assert parse_int(format_int(big)) == big
+        assert parse_int("-" + format_int(big)) == -big
+        assert parse_int("0" * 5000) == 0
+        assert parse_int(hex(big)) == big and parse_int("0b101") == 5
+        for bad in ("0123", "12a", "1" * 4400 + "a", "0" + "1" * 4400, ""):
+            with pytest.raises(ValueError):
+                parse_int(bad)
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_len(self, chain, capsys):
+        limit = sys.get_int_max_str_digits()
+        assert run(capsys, "slp", "len", chain) == (0, self.dec(2**self.DEPTH), "")
+        code, out, _ = run(capsys, "slp", "len", "--json", chain)
+        assert code == 0 and json.loads(out)["length"] == self.dec(2**self.DEPTH)
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_query_index(self, chain, capsys):
+        limit = sys.get_int_max_str_digits()
+        n = 2**self.DEPTH
+        assert run(capsys, "slp", "query", chain, self.dec(10**4400)) == (0, "1", "")
+        assert run(capsys, "slp", "query", chain, self.dec(n - 1)) == (0, "1", "")
+        want = f"error: position {self.dec(n)} outside word of length {self.dec(n)}"
+        assert run(capsys, "slp", "query", chain, self.dec(n)) == (2, "", want)
+        assert run(capsys, "slp", "query", chain, hex(n)) == (2, "", want)
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_member_and_sim_arguments(self, files, capsys, tmp_path):
+        n = self.dec(2 * 10**4400)  # even
+        assert run(capsys, "decide", "member", files / "even.updpa", n) == (0, "yes", "")
+        assert run(capsys, "decide", "member", files / "even.updpa", n + "1") == (1, "no", "")
+        # a machine that never reads: the simulator stops on its certificate
+        silent = tmp_path / "silent.updpa"
+        silent.write_text(udpda.format_udpda(udpda.RawUnpda(
+            states=frozenset({"q0"}), stack_alphabet=frozenset({"_"}), bottom="_",
+            initial="q0", finals=frozenset({"q0"}),
+            transitions=frozenset({("q0", "", "_", "q0", ("_",))}),
+        )))
+        assert run(capsys, "sim", "member", silent, n) == (1, "no", "")
+        assert run(capsys, "sim", "member", silent, "0") == (0, "yes", "")
+
+    def test_witness_line(self, capsys):
+        args = argparse.Namespace(json=False)
+        assert cli._emit(args, "no", witness=3 * 10**5000) == cli.EXIT_NO
+        assert capsys.readouterr().out == f"no (witness n=3{'0' * 5000})\n"
+
+    def test_error_messages(self):
+        n = 2**self.DEPTH
+        chain = slp.parse_slp(self.CHAIN)
+        cases = [
+            (CapExceeded, lambda: slp.expand(chain, 10), self.dec(n)),
+            (IndexOutOfRange, lambda: slp.query(chain, n + 1), self.dec(n + 1)),
+            (BadRange, lambda: slp.slice(chain, 0, n + 1), self.dec(n + 1)),
+            (BadRange, lambda: slp.power(chain, -n), self.dec(-n)),
+            (BadShift, lambda: slp.cyclic_shift(chain, n), self.dec(n)),
+            (NonIntegralResult, lambda: slp.power(chain, 1, 3), self.dec(n)),
+            (LengthMismatch, lambda: compare.comp_slp(chain, slp.literal("1", "01"),
+                                                      compare.order_from_literal("0<=1")),
+             self.dec(n)),
+        ]
+        for error, call, digits in cases:
+            with pytest.raises(error) as info:
+                call()
+            assert digits in str(info.value)
 
 
 class TestInternalError:

@@ -27,7 +27,9 @@ from helpers import (
     machine_even,
     machine_loop,
     machine_push_loop,
+    main_stage,
     random_normal_udpda,
+    random_raw_udpda,
     random_slp,
     step_normal,
 )
@@ -56,6 +58,16 @@ class TestSlpToUdpda:
     def test_rejects_empty_word(self):
         with pytest.raises(EmptyWord):
             slp_to_udpda(Slp("01", {"S": ()}, "S"))
+
+    def test_nonterminal_named_like_a_bit_is_renamed(self):
+        # over the alphabet {0}, "1" names a nonterminal; widening the
+        # program to {0, 1} must rename it, not read it as the bit
+        p = Slp("0", {"S": ("1", "1", "0"), "1": ("0", "0")}, "S")
+        assert slp.validate(p) is None
+        assert udpda.run_prefix(slp_to_udpda(p), 8) == "0" * 8
+        pair = IndicatorPair(p, bits("1"))
+        assert pair.sequence(8) == "00000111"
+        assert udpda.run_prefix(indicator_to_udpda(pair), 8) == "00000111"
 
     def test_reaches_halt_after_exactly_word_length_reads(self):
         rng = random.Random(40)
@@ -207,7 +219,7 @@ class TestTranscriptWalk:
             reading={"r", "q1"}, finals={"q0", "s"}, initial="s",
         )
         ws = CheckedWorkspace(m)
-        ws.main_stage()
+        main_stage(ws)
         assert set(ws.nonret) == {"s", "q0", "q1"} and set(ws.exit) == {"r"}
         self.check(m)
 
@@ -235,7 +247,7 @@ class TestTranscriptWalk:
         tp = ws.transcript()
         assert {"u0", "u1", "u2"} <= set(ws.edge) and ws.pushing == {"u0"}
         eager = translate.TranscriptWorkspace(m)
-        eager.main_stage()
+        main_stage(eager)
         assert not eager.edge
         assert eager.transcript() == tp
         self.check(m)
@@ -343,6 +355,44 @@ class TestFullPipeline:
         )
         with pytest.raises(NotDeterministic):
             udpda_to_indicator(bad)
+
+    def test_one_store_matches_the_two_stages(self):
+        # udpda_to_indicator runs the characteristic stage on the
+        # workspace's store; the public stages go through programs
+        rng = random.Random(50)
+        machines = [random_normal_udpda(rng) for _ in range(80)]
+        machines += [udpda.normalize(random_raw_udpda(rng)) for _ in range(60)]
+        for m in machines:
+            ip = udpda_to_indicator(m)
+            tp = udpda_to_transcript(m)
+            assert ip == transcript_to_characteristic(tp)
+            tp_back = translate.parse_pair(translate.format_pair(tp))
+            ip_back = translate.parse_pair(translate.format_pair(ip))
+            assert ip_back == ip == transcript_to_characteristic(tp_back)
+
+    @pytest.mark.parametrize("finals, loop_events, want", [
+        ({"s"}, "", "1" + "0" * 11),  # the loop has no events at all
+        ({"q0"}, "f", "01" + "0" * 10),  # the loop only visits a final state
+    ])
+    def test_loop_that_never_reads(self, finals, loop_events, want):
+        m = normal(internal={"s": "q0", "q0": "q0"}, reading={"s"}, finals=finals,
+                   initial="s")
+        ws = translate.TranscriptWorkspace(m)
+        _pre, loop = ws.bottom_stage()
+        assert slp.expand(ws.store.build(loop), 10) == loop_events
+        ip = udpda_to_indicator(m)
+        assert ip == transcript_to_characteristic(udpda_to_transcript(m))
+        assert ip.sequence(12) == udpda.run_prefix(m, 12) == want
+
+    def test_builds_two_programs(self, monkeypatch):
+        built = []
+        build = slp._Store.build
+        monkeypatch.setattr(slp._Store, "build", lambda st, sym: built.append(sym) or build(st, sym))
+        rng = random.Random(51)
+        for m in [machine_even(), machine_push_loop()] + [random_normal_udpda(rng) for _ in range(10)]:
+            built.clear()
+            udpda_to_indicator(m)
+            assert len(built) == 2
 
     def test_scheduling_is_deterministic(self):
         rng = random.Random(48)

@@ -182,7 +182,8 @@ class TestSimulation:
         # revisit of q one symbol higher is no loop: its first visit saw
         # the bottom symbol, the second sees G.
         g = translate._Gadgets()
-        entry, exit_ = translate._slp_machine(g, slp.power(slp.literal("0"), 2**8), "s")
+        st = slp._Store("01")
+        entry, exit_ = translate._slp_machine(g, st, st.imp(slp.power(slp.literal("0"), 2**8)), "s")
         g.reading.clear()
         g.pop[(exit_, BOTTOM)] = "q"
         g.pop[("q", BOTTOM)] = "p"
@@ -208,7 +209,8 @@ class TestSimulation:
         # prelude of more than 2^k moves; it ends in a reading or a silent,
         # final or non-final loop at the bottom
         g = translate._Gadgets()
-        entry, exit_ = translate._slp_machine(g, slp.power(slp.literal("0"), 2**k), "s")
+        st = slp._Store("01")
+        entry, exit_ = translate._slp_machine(g, st, st.imp(slp.power(slp.literal("0"), 2**k)), "s")
         g.reading.clear()
         g.pop[(exit_, BOTTOM)] = "r"
         g.internal["r"] = "r"
