@@ -40,8 +40,17 @@ def _write(args, text: str, suffix: str | None = None) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
-def _load_machine(path: str) -> udpda.NormalUdpda:
-    return udpda.normalize(udpda.parse_udpda(_read(path)))
+def _load_machine(path: str) -> udpda.RawUnpda:
+    """A raw machine; the translation normalizes it on demand."""
+    return udpda.parse_udpda(_read(path))
+
+
+def _json(payload: dict) -> str:
+    """json.dumps of an object, with its top-level ints written through
+    format_int: json.dumps refuses ints past Python's 4,300-digit limit."""
+    return "{" + ", ".join(
+        f"{json.dumps(key)}: {format_int(value) if type(value) is int else json.dumps(value)}"
+        for key, value in payload.items()) + "}"
 
 
 def _emit(args, verdict: str, witness=None, sizes=None, started=None, extra=None) -> int:
@@ -58,7 +67,7 @@ def _emit(args, verdict: str, witness=None, sizes=None, started=None, extra=None
         if extra:
             payload.update(extra)
         payload["timing_ms"] = round((time.monotonic() - started) * 1000, 3)
-        print(json.dumps(payload))
+        print(_json(payload))
         return code
     if verdict in ("yes", "holds"):
         print("yes")
@@ -74,7 +83,7 @@ def _emit(args, verdict: str, witness=None, sizes=None, started=None, extra=None
 def _emit_value(args, text_value: str, started, **fields) -> int:
     if args.json:
         fields["timing_ms"] = round((time.monotonic() - started) * 1000, 3)
-        print(json.dumps(fields))
+        print(_json(fields))
     else:
         print(text_value)
     return EXIT_YES
@@ -131,7 +140,7 @@ def cmd_decide(args) -> int:
     started = time.monotonic()
     verb = args.what
     a1 = _load_machine(args.inputs[0])
-    sizes = {"machine1": a1.size}
+    sizes = {"machine1": udpda.normal_size(a1)}
     if verb == "member":
         ok = decide.compressed_membership(a1, parse_int(args.inputs[1]))
         return _emit(args, "yes" if ok else "no", sizes=sizes, started=started)
@@ -140,7 +149,7 @@ def cmd_decide(args) -> int:
     if verb == "universal":
         return _emit(args, "yes" if decide.universality(a1) else "no", sizes=sizes, started=started)
     a2 = _load_machine(args.inputs[1])
-    sizes["machine2"] = a2.size
+    sizes["machine2"] = udpda.normal_size(a2)
     if verb == "equal":
         return _emit(args, "yes" if decide.equivalence(a1, a2) else "no", sizes=sizes, started=started)
     return _emit_check(args, decide.inclusion(a1, a2, args.budget), sizes, started)
@@ -234,7 +243,7 @@ def cmd_gen(args) -> int:
 
 def cmd_sim(args) -> int:
     started = time.monotonic()
-    machine = _load_machine(args.inputs[0])
+    machine = udpda.normalize(_load_machine(args.inputs[0]))
     n = parse_int(args.inputs[1])
     try:
         if args.what == "prefix":

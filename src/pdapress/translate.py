@@ -20,7 +20,7 @@ from typing import ClassVar
 from . import slp
 from .errors import BadRange, EmptyWord, FormatError, MalformedPair, format_int
 from .slp import Slp
-from .udpda import DEFAULT_BOTTOM, NormalUdpda, RawUnpda, normalize
+from .udpda import DEFAULT_BOTTOM, NormalUdpda, NormalView, RawUnpda
 
 BIT_ALPHABET = frozenset("01")
 EVENT_ALPHABET = frozenset("af")
@@ -271,22 +271,49 @@ class TranscriptWorkspace:
 
     Resolution runs on demand: `transcript` resolves the states of the
     bottom-symbol chain from the initial state, and with them only what
-    their values depend on; the rest of the machine stays pending.
+    their values depend on; the rest of the machine stays pending.  A raw
+    machine is read through a NormalView: the workspace starts from the
+    raw states and the dead state, and a pair's chain states enter it when
+    the walk first pops on that pair.
     """
 
-    def __init__(self, machine: NormalUdpda):
+    def __init__(self, machine: NormalUdpda | RawUnpda):
+        if isinstance(machine, RawUnpda):
+            machine = NormalView(machine)  # raises NotDeterministic on bad input
         self.machine = machine
         self.store = st = slp._Store(EVENT_ALPHABET)
         # events of one visit: f if the state is final, then a if it reads
-        empty, f, a, fa = st.add(()), st.add(("f",)), st.add(("a",)), st.add(("f", "a"))
-        v = self.v = dict.fromkeys(machine.states, empty)
-        v.update(dict.fromkeys(machine.reading, a))
-        v.update((q, fa if q in machine.reading else f) for q in machine.finals)
-        self.exit: dict[str, tuple[str, str]] = {q: (q, empty) for q, _gamma in machine.pop}
-        self.edge: dict[str, tuple[str, str]] = {q: (t, v[q]) for q, t in machine.internal.items()}
-        self.edge.update((q, (t, v[q])) for q, (t, _gamma) in machine.push.items())
-        self.pushing = set(machine.push)
+        self.empty, f, a, fa = st.add(()), st.add(("f",)), st.add(("a",)), st.add(("f", "a"))
+        self._visit = {(False, False): self.empty, (True, False): f, (False, True): a,
+                       (True, True): fa}
+        self.v: dict[str, str] = {}
+        self.exit: dict[str, tuple[str, str]] = {}
+        self.edge: dict[str, tuple[str, str]] = {}
+        self.pushing: set[str] = set()
         self.nonret: dict[str, tuple[str, str]] = {}
+        self._enter(machine.states)
+
+    def _enter(self, states):
+        """Give each new state its visit events and its exit or pending edge."""
+        m, v = self.machine, self.v
+        for q in states:
+            v[q] = self._visit[q in m.finals, q in m.reading]
+            if q in m.internal:
+                self.edge[q] = (m.internal[q], v[q])
+            elif q in m.push:
+                self.edge[q] = (m.push[q][0], v[q])
+                self.pushing.add(q)
+            else:
+                self.exit[q] = (q, self.empty)
+
+    def _landing(self, q: str, gamma: str) -> str:
+        """The state popping gamma in q leads to; the states of a chain that
+        a NormalView builds on this read enter the workspace."""
+        landing = s = self.machine.pop[(q, gamma)]
+        while s not in self.v:  # a new chain ends at a raw state or dead
+            self._enter((s,))
+            s = self.edge[s][0]
+        return landing
 
     def _drop_edge(self, q: str) -> tuple[str, str]:
         """Remove q's pending edge; returns its target and event nonterminal."""
@@ -313,7 +340,7 @@ class TranscriptWorkspace:
         target, _nt = self._drop_edge(q)
         gamma = self.machine.push[q][1]
         q2, seg = self.exit[target]
-        landing = self.machine.pop[(q2, gamma)]
+        landing = self._landing(q2, gamma)
         self.edge[q] = (landing, self.store.add((self.v[q], seg, self.v[q2])))
 
     def apply_r4(self, cycle: list[str]):
@@ -384,7 +411,7 @@ class TranscriptWorkspace:
             index[q] = len(segs)
             q2, seg = self.exit[q]
             segs.append(st.add((seg, self.v[q2])))
-            q = machine.pop[(q2, machine.bottom)]
+            q = self._landing(q2, machine.bottom)
             self.resolve(q)
         if q in self.nonret:
             pre, loop = self.nonret[q]
@@ -402,7 +429,7 @@ class TranscriptWorkspace:
         return TranscriptPair(prefix, loop)
 
 
-def udpda_to_transcript(a: NormalUdpda) -> TranscriptPair:
+def udpda_to_transcript(a: NormalUdpda | RawUnpda) -> TranscriptPair:
     """Pair of programs generating the event stream of the machine's unique
     infinite computation ('a' per consumed letter, 'f' per final-state visit).
 
@@ -521,9 +548,8 @@ def transcript_to_characteristic(tp: TranscriptPair) -> IndicatorPair:
 
 
 def udpda_to_indicator(a: RawUnpda | NormalUdpda) -> IndicatorPair:
-    """Indicator pair for the machine's language (the full pipeline)."""
-    if isinstance(a, RawUnpda):
-        a = normalize(a)  # raises NotDeterministic on bad input
+    """Indicator pair for the machine's language (the full pipeline); a raw
+    machine is normalized on demand."""
     ws = TranscriptWorkspace(a)
     return _characteristic(ws.store, *ws.bottom_stage())
 

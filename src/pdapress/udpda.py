@@ -5,16 +5,18 @@ the stack by a word of length at most two, with the bottom symbol kept at
 the bottom.  A :class:`NormalUdpda` is the restricted shape the translation
 algorithm works on: every control state performs exactly one of {internal,
 push-one, pop-one}, pops are total over the stack alphabet, and reads are a
-property of the state.  The simulator (:func:`run_prefix`,
-:func:`membership_sim`) is the ground-truth oracle for everything else.
+property of the state.  A :class:`NormalView` builds the normal form one
+(state, top) pair at a time, for the translation.  The simulator
+(:func:`run_prefix`, :func:`membership_sim`) is the ground-truth oracle for
+everything else.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
-from typing import Iterable
 
-from .errors import FormatError, FuelExhausted, NotDeterministic
+from .errors import BadRange, FormatError, FuelExhausted, NotDeterministic, format_int
 
 DEFAULT_BOTTOM = "_"
 DEFAULT_FUEL = 1_000_000
@@ -153,6 +155,88 @@ def _uniquify(name: str, taken: set[str]) -> str:
     return candidate
 
 
+def _pushes(a: RawUnpda, gamma: str, s: tuple[str, ...]) -> tuple[str, ...]:
+    """The symbols, top first, that a move on top gamma pushes after popping
+    gamma; the bottom symbol is never popped, so above it at most one."""
+    if gamma != a.bottom:
+        return s
+    return () if s in ((), (a.bottom,)) else s[:1]
+
+
+class NormalView:
+    """The normal form of a raw machine, built one (state, top) pair at a time.
+
+    It has the attributes of a NormalUdpda that the transcript dynamic
+    program reads.  Reading pop[(q, gamma)] for the first time builds that
+    pair's chain, as `normalize` does: an isolated reading state if the move
+    consumes input, then one push state per pushed symbol; `states`,
+    `internal`, `push` and `reading` hold the states built so far.  Chain
+    names are those of `normalize`: they can depend on the order pairs are
+    read only when two pairs share a name q.gamma.*, which needs a stack
+    symbol ending with '.' and another stack symbol, and then every pair is
+    read up front in sorted order.  Raises NotDeterministic if two moves
+    share a pair, whether or not the computation reaches them.
+    """
+
+    def __init__(self, a: RawUnpda):
+        self.pop = chains = _Chains(a)
+        self.states, self.internal = chains.states, chains.internal
+        self.push, self.reading = chains.push, chains.reading
+        self.initial, self.finals = a.initial, a.finals
+        self.stack_alphabet, self.bottom = a.stack_alphabet, a.bottom
+        gammas = a.stack_alphabet
+        if any(g[i + 1:] in gammas for g in gammas for i, c in enumerate(g) if c == "."):
+            self.read_all()
+
+    def read_all(self):
+        """Build every pair's chain, in sorted order."""
+        for q in sorted(self.pop.raw.states):
+            for gamma in sorted(self.stack_alphabet):
+                self.pop[(q, gamma)]
+
+
+class _Chains(dict):
+    """The pop map of a NormalView, which builds the states it maps to.
+
+    It refers to no view, so a view is freed as soon as its last user drops
+    it rather than at the next cycle collection.
+    """
+
+    def __init__(self, a: RawUnpda):
+        super().__init__()
+        self.moves = {(t[0], t[2]): t for t in a.transitions}
+        if len(self.moves) < len(a.transitions):  # two moves share a (state, top) pair
+            raise NotDeterministic(check_deterministic(a))
+        self.raw = a
+        self.states = set(a.states)  # also the names taken
+        self.dead = dead = _uniquify("dead", self.states)
+        self.internal: dict[str, str] = {dead: dead}
+        self.push: dict[str, tuple[str, str]] = {}
+        self.reading = {dead}
+
+    def __missing__(self, key: tuple[str, str]) -> str:
+        """Build the chain of the pair and map the pair to its first state; a
+        missing move leads to the non-final reading dead state."""
+        q, gamma = key
+        t = self.moves.get(key)
+        if t is None:
+            target = self.dead
+        else:
+            _, sigma, _, target, s = t
+            # Chain: [read] then pushes applied bottom-up, landing at the target.
+            for i, sym in enumerate(_pushes(self.raw, gamma, s)):
+                node = _uniquify(f"{q}.{gamma}.push{i}", self.states)
+                self.push[node] = (target, sym)
+                target = node
+            if sigma == "a":
+                node = _uniquify(f"{q}.{gamma}.read", self.states)
+                self.internal[node] = target
+                self.reading.add(node)
+                target = node
+        self[key] = target
+        return target
+
+
 def normalize(a: RawUnpda) -> NormalUdpda:
     """Language-equivalent machine in the normal shape.
 
@@ -160,52 +244,28 @@ def normalize(a: RawUnpda) -> NormalUdpda:
     raw transition unfolds into a short chain (an isolated reading state if
     it consumes input, then one push state per pushed symbol).  Missing
     moves lead to a non-final reading dead state that loops on itself.  The
-    result has at most 6 * |Q| * |Gamma| states.
+    result has at most 6 * |Q| * |Gamma| states.  This is a NormalView with
+    every pair read, in sorted order.
     """
-    moves = {(t[0], t[2]): t for t in a.transitions}
-    if len(moves) < len(a.transitions):  # two moves share a (state, top) pair
-        raise NotDeterministic(check_deterministic(a))
-    taken = set(a.states)
-    dead = _uniquify("dead", taken)
-
-    internal: dict[str, str] = {dead: dead}
-    push: dict[str, tuple[str, str]] = {}
-    pop: dict[tuple[str, str], str] = {}
-    reading = {dead}
-
-    for q in sorted(a.states):
-        for gamma in sorted(a.stack_alphabet):
-            t = moves.get((q, gamma))
-            if t is None:
-                pop[(q, gamma)] = dead
-                continue
-            _, sigma, _, q2, s = t
-            if gamma == a.bottom:
-                pushes = [] if s in ((), (a.bottom,)) else [s[0]]
-            else:
-                pushes = list(s)
-            # Chain: [read] then pushes applied bottom-up, landing at q2.
-            target = q2
-            for i, sym in enumerate(pushes):
-                node = _uniquify(f"{q}.{gamma}.push{i}", taken)
-                push[node] = (target, sym)
-                target = node
-            if sigma == "a":
-                node = _uniquify(f"{q}.{gamma}.read", taken)
-                internal[node] = target
-                reading.add(node)
-                target = node
-            pop[(q, gamma)] = target
+    view = NormalView(a)
+    view.read_all()
     return NormalUdpda(
-        internal=internal,
-        push=push,
-        pop=pop,
-        reading=frozenset(reading),
+        internal=view.internal,
+        push=view.push,
+        pop=dict(view.pop),
+        reading=frozenset(view.reading),
         initial=a.initial,
         finals=frozenset(a.finals),
         stack_alphabet=a.stack_alphabet,
         bottom=a.bottom,
     )
+
+
+def normal_size(a: RawUnpda) -> int:
+    """normalize(a).size, counted from the moves without building chains."""
+    chains = sum(len(_pushes(a, gamma, s)) + (sigma == "a")
+                 for _, sigma, gamma, _, s in a.transitions)
+    return (len(a.states) + 1 + chains) * len(a.stack_alphabet)
 
 
 def to_raw(a: NormalUdpda) -> RawUnpda:
@@ -313,8 +373,11 @@ def run_prefix(a: NormalUdpda, n: int, fuel: int = DEFAULT_FUEL) -> str:
     at some configuration reached after consuming exactly i letters.
 
     Raises FuelExhausted, as membership_sim does, if `fuel` epsilon moves
-    pass without a read or a loop certificate.
+    pass without a read or a loop certificate, and BadRange if n cannot be
+    the length of a string.
     """
+    if not 0 <= n <= sys.maxsize:
+        raise BadRange(f"prefix length {format_int(n)} is not between 0 and {sys.maxsize}")
     bits = bytearray(n)
     if n == 0:
         return ""

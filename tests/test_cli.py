@@ -96,6 +96,36 @@ class TestDecide:
         assert code == 0
 
 
+    def test_json_sizes_count_the_normal_form(self, tmp_path, capsys):
+        # |Q|.|Gamma| of the normalized machine, counted without normalizing:
+        # a read, two pushes, a bottom push and a missing move
+        a = udpda.RawUnpda(
+            states=frozenset({"q0", "q1"}), stack_alphabet=frozenset({"_", "x"}),
+            bottom="_", initial="q0", finals=frozenset({"q1"}),
+            transitions=frozenset({("q0", "a", "_", "q1", ("x", "_")),
+                                   ("q1", "", "x", "q1", ("x", "x")),
+                                   ("q1", "a", "_", "q0", ("_",))}),
+        )
+        path = tmp_path / "m.updpa"
+        path.write_text(udpda.format_udpda(a))
+        code, out, _ = run(capsys, "decide", "equal", path, path, "--json")
+        size = udpda.normalize(a).size
+        assert (code, json.loads(out)["sizes"]) == (0, {"machine1": size, "machine2": size})
+        assert size == (2 + 1 + 2 + 2 + 1) * 2
+
+    def test_unreached_conflict_exits_2(self, files, tmp_path, capsys):
+        # the computation loops in q0 and never enters u, whose two moves on
+        # the bottom still make the machine nondeterministic
+        bad = tmp_path / "bad.updpa"
+        bad.write_text("states: q0 u\nstack: _\ninitial: q0\nfinal: q0\n"
+                       "q0 a _ -> q0 _\nu a _ -> q0 -\nu - _ -> u -\n")
+        want = "error: state u on top _ mixes a reading move with an epsilon move"
+        for argv in (("convert", "udpda-to-indicator", bad), ("convert", "udpda-to-transcript", bad),
+                     ("decide", "member", bad, "3"), ("decide", "equal", files / "loop.updpa", bad),
+                     ("decide", "included", bad, files / "loop.updpa"), ("sim", "prefix", bad, "3")):
+            assert run(capsys, *argv) == (2, "", want), argv
+
+
 class TestSimAndSlp:
     def test_sim_prefix(self, files, capsys):
         code, out, _ = run(capsys, "sim", "prefix", files / "even.updpa", "6")
@@ -392,6 +422,31 @@ class TestHugeNumbers:
         args = argparse.Namespace(json=False)
         assert cli._emit(args, "no", witness=3 * 10**5000) == cli.EXIT_NO
         assert capsys.readouterr().out == f"no (witness n=3{'0' * 5000})\n"
+
+    def test_sim_prefix_past_any_string_length(self, files, capsys):
+        n = 10**30
+        want = f"error: prefix length {self.dec(n)} is not between 0 and {sys.maxsize}"
+        assert run(capsys, "sim", "prefix", files / "even.updpa", self.dec(n)) == (2, "", want)
+        with pytest.raises(BadRange):
+            udpda.run_prefix(udpda.normalize(udpda.parse_udpda((files / "even.updpa").read_text())),
+                             sys.maxsize + 1)
+
+    def test_json_witness_of_5000_digits(self, files, capsys, monkeypatch):
+        limit = sys.get_int_max_str_digits()
+        witness = 3 * 10**4999 + 7
+        monkeypatch.setattr(cli.decide, "inclusion",
+                            lambda a1, a2, budget: compare.CheckResult(compare.FAILS, witness, 2, witness))
+        code, out, _ = run(capsys, "decide", "included", files / "even.updpa",
+                           files / "loop.updpa", "--json")
+        payload = json.loads(out, parse_int=parse_int)
+        assert code == 1 and payload["verdict"] == "no"
+        assert payload["witness"] == payload["checked"] == witness
+        assert payload["visited"] == 2 and set(payload) == {
+            "verdict", "witness", "sizes", "visited", "checked", "timing_ms"}
+        assert sys.get_int_max_str_digits() == limit
+        # below the limit the text is json.dumps's, byte for byte
+        small = {"verdict": "no", "witness": -3, "sizes": {"m": 4}, "ok": True, "t": 0.5}
+        assert cli._json(small) == json.dumps(small)
 
     def test_error_messages(self):
         n = 2**self.DEPTH

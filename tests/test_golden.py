@@ -146,3 +146,22 @@ def test_digest_does_not_follow_hash_order():
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True)
         assert out.stdout.strip() == GOLDEN, seed
+
+
+def _raw_corpus():
+    """The machines of both corpora as raw machines."""
+    yield from (udpda.to_raw(m) for m in _machines())
+    rng = random.Random(9003)
+    yield from (udpda.to_raw(m) for m in [m for _, m in handcrafted_machines()]
+                + [random_normal_udpda(rng, max_states=10) for _ in range(40)])
+    for pair in _variant_pairs():
+        yield from map(udpda.to_raw, pair)
+
+
+def test_view_matches_normalize_on_the_corpora():
+    # a raw machine is normalized on demand, one (state, top) pair at a
+    # time; the pairs must come out byte for byte as from the eager form
+    for raw in _raw_corpus():
+        eager = udpda.normalize(raw)
+        for convert in (translate.udpda_to_transcript, translate.udpda_to_indicator):
+            assert translate.format_pair(convert(raw)) == translate.format_pair(convert(eager))

@@ -31,6 +31,7 @@ from helpers import (
     random_normal_udpda,
     random_raw_udpda,
     random_slp,
+    raw_run_prefix,
     step_normal,
 )
 
@@ -261,6 +262,45 @@ class TestTranscriptWalk:
                    reading=chain[::2], finals=chain[::7], initial="c0")
         n = 25_000
         assert udpda_to_indicator(m).sequence(n) == udpda.run_prefix(m, n)
+
+
+class TestOnDemandNormalization:
+    def test_large_machine_builds_few_chains(self):
+        # 20,000 raw states; the computation alternates q0 (pushing x) and
+        # q1 (popping it), so only the pairs it pops on get chains
+        rng = random.Random(52)
+        states = [f"q{i}" for i in range(20_000)]
+        transitions = {("q0", "a", BOTTOM, "q1", ("x", BOTTOM)), ("q1", "a", "x", "q0", ())}
+        for q in states[2:]:
+            transitions.add((q, rng.choice("a-").strip("-"), BOTTOM, rng.choice(states),
+                             rng.choice([(), (BOTTOM,), ("x", BOTTOM)])))
+            transitions.add((q, rng.choice("a-").strip("-"), "x", rng.choice(states),
+                             rng.choice([(), ("x",), ("x", "x")])))
+        a = udpda.RawUnpda(states=frozenset(states), stack_alphabet=frozenset({BOTTOM, "x"}),
+                           bottom=BOTTOM, initial="q0", finals=frozenset(states[1::3]),
+                           transitions=frozenset(transitions))
+        ws = translate.TranscriptWorkspace(a)
+        # the raw states and the dead state, and no chain yet
+        assert set(ws.v) == set(ws.exit) | {"dead"} == set(a.states) | {"dead"}
+        assert list(ws.edge) == ["dead"] and not ws.pushing and not ws.machine.pop
+        tp = ws.transcript()
+        pairs = len(a.states) * len(a.stack_alphabet)
+        assert 0 < len(ws.machine.pop) < pairs // 100
+        assert set(ws.v) == ws.machine.states  # every chain built has entered
+        assert tp == udpda_to_transcript(udpda.normalize(a))
+        assert udpda_to_indicator(a).sequence(50) == raw_run_prefix(a, 50)
+
+    def test_checked_workspace_runs_on_the_eager_form(self):
+        # CheckedWorkspace and main_stage resolve every state, so they take
+        # the normalized machine; its transcript is the on-demand one
+        rng = random.Random(53)
+        for _ in range(30):
+            a = random_raw_udpda(rng, max_states=4)
+            m = udpda.normalize(a)
+            ws = CheckedWorkspace(m)
+            main_stage(ws)
+            assert not ws.edge and set(ws.exit) | set(ws.nonret) == m.states
+            assert ws.transcript() == udpda_to_transcript(a)
 
 
 class TestTranscriptToCharacteristic:

@@ -130,6 +130,73 @@ class TestNormalize:
         assert len(again.states) <= 6 * len(m.states) * len(m.stack_alphabet)
 
 
+class TestNormalView:
+    @staticmethod
+    def with_decoys(a: RawUnpda) -> RawUnpda:
+        """a with move-less states named as normalize names its chains, so
+        chain names collide with raw names and need primes."""
+        decoys = {"dead", "q0._.read", "q0._.push0", "q0.g0.push0", "q0.g0.push1"}
+        return RawUnpda(states=a.states | decoys, stack_alphabet=a.stack_alphabet,
+                        bottom=a.bottom, initial=a.initial, finals=a.finals,
+                        transitions=a.transitions)
+
+    @staticmethod
+    def frozen(m):
+        return (dict(m.internal), dict(m.push), dict(m.pop), set(m.reading))
+
+    def test_any_read_order_gives_the_names_of_normalize(self):
+        rng = random.Random(38)
+        for i in range(150):
+            a = random_raw_udpda(rng)
+            if i % 2:
+                a = self.with_decoys(a)
+            pairs = [(q, g) for q in a.states for g in a.stack_alphabet]
+            rng.shuffle(pairs)
+            view = udpda.NormalView(a)
+            assert len(view.pop) == 0
+            for pair in pairs:
+                view.pop[pair]
+            assert view.states == udpda.normalize(a).states
+            assert self.frozen(view) == self.frozen(udpda.normalize(a)), i
+
+    def test_colliding_names_read_every_pair_up_front(self):
+        # (q, x.g) and (q.x, g) both name their chains q.x.g.*, so the names
+        # depend on the order the pairs are read: the view reads all of them
+        # at once, in the order of normalize
+        a = raw(["q", "q.x"], [("q", "a", BOTTOM, "q.x", ("x.g", BOTTOM)),
+                               ("q.x", "a", "x.g", "q", ("g",)),
+                               ("q", "a", "g", "q.x", ("x.g", "g")),
+                               ("q.x", "a", "g", "q", ("x.g", "x.g")),
+                               ("q", "", "x.g", "q", ("g", "x.g"))],
+                finals=["q.x"], initial="q", stack=(BOTTOM, "g", "x.g"))
+        view = udpda.NormalView(a)
+        assert len(view.pop) == len(a.states) * len(a.stack_alphabet)
+        assert self.frozen(view) == self.frozen(udpda.normalize(a))
+        assert {"q.x.g.push0", "q.x.g.push0'"} <= view.states
+        for convert in (translate.udpda_to_transcript, translate.udpda_to_indicator):
+            assert translate.format_pair(convert(a)) == \
+                translate.format_pair(convert(udpda.normalize(a)))
+        assert translate.udpda_to_indicator(a).sequence(200) == raw_run_prefix(a, 200)
+
+    def test_unreached_conflict_is_rejected(self):
+        # u is never entered, yet its two moves on the bottom make the
+        # machine nondeterministic, on the on-demand path as on the eager one
+        a = raw(["q0", "u"], [("q0", "a", BOTTOM, "q0", (BOTTOM,)),
+                              ("u", "a", BOTTOM, "q0", ()),
+                              ("u", "", BOTTOM, "u", ())])
+        for call in (udpda.normalize, udpda.NormalView, translate.udpda_to_indicator,
+                     translate.udpda_to_transcript):
+            with pytest.raises(NotDeterministic) as err:
+                call(a)
+            assert str(err.value) == udpda.check_deterministic(a)
+
+    def test_normal_size_counts_the_chains(self):
+        rng = random.Random(39)
+        for _ in range(200):
+            a = random_raw_udpda(rng)
+            assert udpda.normal_size(a) == udpda.normalize(a).size
+
+
 class TestSimulation:
     def test_loop_prefix(self):
         assert udpda.run_prefix(machine_loop(), 4) == "1111"
@@ -254,6 +321,9 @@ def test_three_semantics_agree(rng):
     want = raw_run_prefix(a, 300, fuel=20000)
     assert udpda.run_prefix(udpda.normalize(a), 300) == want
     assert translate.udpda_to_indicator(a).sequence(300) == want
+    # the raw machine went through the on-demand view; the eager form agrees
+    assert translate.format_pair(translate.udpda_to_indicator(a)) == \
+        translate.format_pair(translate.udpda_to_indicator(udpda.normalize(a)))
 
 
 class TestFormat:
