@@ -3,11 +3,13 @@
 Verdict verbs print yes/no (plus a witness where applicable) and exit with
 0 for yes/holds, 1 for no/fails, 3 when a componentwise check ran out of
 its work budget (aligned blocks examined, never more than positions) or
-the simulator ran out of fuel; input and parse errors exit with 2, and any
-other failure (an internal error, which is never a verdict) exits with 4.
+the simulator ran out of fuel; input and parse errors, including a wrong
+number of inputs for the verb, exit with 2, and any other failure (an
+internal error, which is never a verdict) exits with 4.
 With --json a machine-readable object carrying verdict, witness, sizes and
 timing is printed instead; for componentwise checks it also carries the
-blocks visited and the length of the prefix checked clean.
+blocks visited and the length of the prefix checked clean.  Each verb
+group accepts only the options its handler reads.
 """
 
 from __future__ import annotations
@@ -27,22 +29,45 @@ EXIT_ERROR = 2
 EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 
+# group -> (help, {verb: number of inputs}); main checks the count before
+# it dispatches to cmd_<group>
+GROUPS = {
+    "convert": ("translate between representations", dict.fromkeys((
+        "slp-to-udpda", "indicator-to-udpda", "udpda-to-indicator",
+        "udpda-to-transcript", "transcript-to-indicator", "expr-to-cfg"), 1)),
+    "decide": ("decision problems for machines",
+               {"member": 2, "empty": 1, "universal": 1, "equal": 2, "included": 2}),
+    "slp": ("operations on straight-line programs",
+            {"len": 1, "query": 2, "equal": 2, "compare": 2}),
+    "intexpr": ("integer expressions", {"eval": 1, "universal": 1}),
+    "gen": ("hardness-instance generators",
+            {"lohrey": 0, "subsetsum-compslp": 0, "compslp-inclusion": 3, "gss": 0}),
+    "sim": ("step-by-step simulation", {"prefix": 2, "member": 2}),
+}
+
+# what a handler returns: the exit code, the text line (None: print none),
+# and the fields of the --json object, to which main adds timing_ms
+Reply = tuple[int, "str | None", dict]
+
 
 def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def _write(args, text: str, suffix: str | None = None) -> None:
+def _write(args, text: str) -> None:
     if args.output is None:
         sys.stdout.write(text)
-        return
-    path = args.output if suffix is None else args.output + suffix
-    Path(path).write_text(text, encoding="utf-8")
+    else:
+        Path(args.output).write_text(text, encoding="utf-8")
 
 
 def _load_machine(path: str) -> udpda.RawUnpda:
     """A raw machine; the translation normalizes it on demand."""
     return udpda.parse_udpda(_read(path))
+
+
+def _format_machine(a: udpda.NormalUdpda) -> str:
+    return udpda.format_udpda(udpda.to_raw(a))
 
 
 def _json(payload: dict) -> str:
@@ -53,146 +78,111 @@ def _json(payload: dict) -> str:
         for key, value in payload.items()) + "}"
 
 
-def _emit(args, verdict: str, witness=None, sizes=None, started=None, extra=None) -> int:
-    """Print a verdict and map it to the exit code."""
-    code = {
-        "yes": EXIT_YES,
-        "holds": EXIT_YES,
-        "no": EXIT_NO,
-        "fails": EXIT_NO,
-        "budget_exceeded": EXIT_BUDGET,
-    }[verdict]
-    if args.json:
-        payload = {"verdict": verdict, "witness": witness, "sizes": sizes or {}}
-        if extra:
-            payload.update(extra)
-        payload["timing_ms"] = round((time.monotonic() - started) * 1000, 3)
-        print(_json(payload))
-        return code
-    if verdict in ("yes", "holds"):
-        print("yes")
-    elif verdict == "budget_exceeded":
-        print("budget exceeded")
-    elif witness is not None:
-        print(f"no (witness n={format_int(witness)})")
+def _value(text: str, **fields) -> Reply:
+    return EXIT_YES, text, fields
+
+
+def _verdict(ok: bool | None, witness=None, sizes=None, **extra) -> Reply:
+    """A verdict: yes (True), no (False, with the witness if there is one) or
+    budget exceeded (None)."""
+    if ok is None:
+        code, verdict, text = EXIT_BUDGET, "budget_exceeded", "budget exceeded"
+    elif ok:
+        code, verdict, text = EXIT_YES, "yes", "yes"
     else:
-        print("no")
-    return code
+        code, verdict = EXIT_NO, "no"
+        text = "no" if witness is None else f"no (witness n={format_int(witness)})"
+    return code, text, {"verdict": verdict, "witness": witness, "sizes": sizes or {}, **extra}
 
 
-def _emit_value(args, text_value: str, started, **fields) -> int:
-    if args.json:
-        fields["timing_ms"] = round((time.monotonic() - started) * 1000, 3)
-        print(_json(fields))
-    else:
-        print(text_value)
-    return EXIT_YES
-
-
-def _emit_check(args, res: compare.CheckResult, sizes, started) -> int:
-    """Print a componentwise check's outcome, with its work counts under --json."""
-    verdict = {compare.HOLDS: "yes", compare.FAILS: "no"}.get(res.verdict, "budget_exceeded")
-    return _emit(args, verdict, res.witness, sizes, started,
-                 {"visited": res.visited, "checked": res.checked})
+def _check(res: compare.CheckResult, sizes) -> Reply:
+    """A componentwise check's outcome, with its work counts under --json."""
+    ok = {compare.HOLDS: True, compare.FAILS: False}.get(res.verdict)
+    return _verdict(ok, res.witness, sizes, visited=res.visited, checked=res.checked)
 
 
 # -- convert ----------------------------------------------------------------
 
 
-def cmd_convert(args) -> int:
-    started = time.monotonic()
-    verb = args.what
+def _pair(text: str, kind: type, name: str):
+    pair = translate.parse_pair(text)
+    if not isinstance(pair, kind):
+        raise ToolError(f"expected {name} pair file")
+    return pair
+
+
+def cmd_convert(args) -> Reply:
+    verb, text = args.what, _read(args.inputs[0])
     if verb == "slp-to-udpda":
-        p = slp.parse_slp(_read(args.inputs[0]))
-        machine = translate.slp_to_udpda(p)
-        _write(args, udpda.format_udpda(udpda.to_raw(machine)))
+        out = _format_machine(translate.slp_to_udpda(slp.parse_slp(text)))
     elif verb == "indicator-to-udpda":
-        pair = translate.parse_pair(_read(args.inputs[0]))
-        if not isinstance(pair, translate.IndicatorPair):
-            raise ToolError("expected an indicator pair file")
-        machine = translate.indicator_to_udpda(pair)
-        _write(args, udpda.format_udpda(udpda.to_raw(machine)))
-    elif verb in ("udpda-to-indicator", "udpda-to-transcript"):
-        machine = _load_machine(args.inputs[0])
-        if verb == "udpda-to-indicator":
-            pair = translate.udpda_to_indicator(machine)
-        else:
-            pair = translate.udpda_to_transcript(machine)
-        _write(args, translate.format_pair(pair))
+        pair = _pair(text, translate.IndicatorPair, "an indicator")
+        out = _format_machine(translate.indicator_to_udpda(pair))
+    elif verb == "udpda-to-indicator":
+        out = translate.format_pair(translate.udpda_to_indicator(udpda.parse_udpda(text)))
+    elif verb == "udpda-to-transcript":
+        out = translate.format_pair(translate.udpda_to_transcript(udpda.parse_udpda(text)))
     elif verb == "transcript-to-indicator":
-        pair = translate.parse_pair(_read(args.inputs[0]))
-        if not isinstance(pair, translate.TranscriptPair):
-            raise ToolError("expected a transcript pair file")
-        _write(args, translate.format_pair(translate.transcript_to_characteristic(pair)))
+        pair = _pair(text, translate.TranscriptPair, "a transcript")
+        out = translate.format_pair(translate.transcript_to_characteristic(pair))
     else:  # expr-to-cfg
-        expr = intexpr.parse_expr(_read(args.inputs[0]))
-        _write(args, intexpr.format_cfg(intexpr.expr_to_cfg(expr)))
-    if args.json:
-        print(json.dumps({"verdict": None, "witness": None, "sizes": {},
-                          "timing_ms": round((time.monotonic() - started) * 1000, 3)}))
-    return EXIT_YES
+        out = intexpr.format_cfg(intexpr.expr_to_cfg(intexpr.parse_expr(text)))
+    _write(args, out)
+    return EXIT_YES, None, {"verdict": None, "witness": None, "sizes": {}}
 
 
 # -- decide -----------------------------------------------------------------
 
 
-def cmd_decide(args) -> int:
-    started = time.monotonic()
+def cmd_decide(args) -> Reply:
     verb = args.what
-    a1 = _load_machine(args.inputs[0])
-    sizes = {"machine1": udpda.normal_size(a1)}
+    machines = [_load_machine(path)
+                for path in (args.inputs[:1] if verb == "member" else args.inputs)]
+    sizes = ({f"machine{i}": udpda.normal_size(a) for i, a in enumerate(machines, 1)}
+             if args.json else None)
     if verb == "member":
-        ok = decide.compressed_membership(a1, parse_int(args.inputs[1]))
-        return _emit(args, "yes" if ok else "no", sizes=sizes, started=started)
-    if verb == "empty":
-        return _emit(args, "yes" if decide.emptiness(a1) else "no", sizes=sizes, started=started)
-    if verb == "universal":
-        return _emit(args, "yes" if decide.universality(a1) else "no", sizes=sizes, started=started)
-    a2 = _load_machine(args.inputs[1])
-    sizes["machine2"] = udpda.normal_size(a2)
-    if verb == "equal":
-        return _emit(args, "yes" if decide.equivalence(a1, a2) else "no", sizes=sizes, started=started)
-    return _emit_check(args, decide.inclusion(a1, a2, args.budget), sizes, started)
+        return _verdict(decide.compressed_membership(machines[0], parse_int(args.inputs[1])),
+                        sizes=sizes)
+    if verb == "included":
+        return _check(decide.inclusion(*machines, args.budget), sizes)
+    answer = {"empty": decide.emptiness, "universal": decide.universality,
+              "equal": decide.equivalence}[verb]
+    return _verdict(answer(*machines), sizes=sizes)
 
 
 # -- slp ----------------------------------------------------------------------
 
 
-def cmd_slp(args) -> int:
-    started = time.monotonic()
+def cmd_slp(args) -> Reply:
     verb = args.what
     p1 = slp.parse_slp(_read(args.inputs[0]))
     if verb == "len":
         n = format_int(slp.length(p1))
-        return _emit_value(args, n, started, length=n)
+        return _value(n, length=n)
     if verb == "query":
         sym = slp.query(p1, parse_int(args.inputs[1]))
-        return _emit_value(args, sym, started, symbol=sym)
+        return _value(sym, symbol=sym)
     p2 = slp.parse_slp(_read(args.inputs[1]))
-    sizes = {"slp1": slp.size(p1), "slp2": slp.size(p2)}
+    sizes = {"slp1": slp.size(p1), "slp2": slp.size(p2)} if args.json else None
     if verb == "equal":
-        same = slp.equal(p1, p2, exact_threshold=args.cap, seed=args.seed)
-        return _emit(args, "yes" if same else "no", sizes=sizes, started=started)
+        return _verdict(slp.equal(p1, p2, exact_threshold=args.cap, seed=args.seed), sizes=sizes)
     # compare
     if args.relation == "wildcard":
-        res = compare.partial_word_match(p1, p2, args.budget)
-    else:
-        rel = compare.order_from_literal(args.order)
-        res = compare.comp_slp(p1, p2, rel, args.budget)
-    return _emit_check(args, res, sizes, started)
+        return _check(compare.partial_word_match(p1, p2, args.budget), sizes)
+    rel = compare.order_from_literal(args.order)
+    return _check(compare.comp_slp(p1, p2, rel, args.budget), sizes)
 
 
 # -- intexpr ------------------------------------------------------------------
 
 
-def cmd_intexpr(args) -> int:
-    started = time.monotonic()
+def cmd_intexpr(args) -> Reply:
     expr = intexpr.parse_expr(_read(args.inputs[0]))
     if args.what == "eval":
         members = intexpr.members_up_to(expr, args.bound)
-        return _emit_value(args, " ".join(map(str, members)), started, members=members)
+        return _value(" ".join(map(str, members)), members=members)
     witness = intexpr.universal_up_to(expr, args.bound)
-    return _emit(args, "yes" if witness is None else "no", witness, started=started)
+    return _verdict(witness is None, witness)
 
 
 # -- gen ----------------------------------------------------------------------
@@ -205,135 +195,109 @@ def _parse_vector(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.split(","))
 
 
-def cmd_gen(args) -> int:
-    started = time.monotonic()
+def cmd_gen(args) -> Reply:
     verb = args.what
-    if verb in ("lohrey", "subsetsum-compslp"):
-        inst = reductions.SubsetSumInstance(_parse_vector(args.weights), args.target)
-        if verb == "lohrey":
-            p1, p2 = reductions.gen_lohrey(inst)
-        else:
-            p1, p2 = reductions.gen_subsetsum_to_compslp(inst)
-        if args.output is None:
-            raise ToolError("gen verbs with two outputs require -o BASE")
-        _write(args, slp.format_slp(p1), suffix=".1.slp")
-        _write(args, slp.format_slp(p2), suffix=".2.slp")
-        return _emit_value(args, f"{args.output}.1.slp {args.output}.2.slp", started,
-                           files=[args.output + ".1.slp", args.output + ".2.slp"])
+    if verb == "gss":
+        inst = reductions.GssInstance(_parse_vector(args.u), _parse_vector(args.v), args.target)
+        expr, bound = reductions.gen_gss_to_intexpr(inst)
+        _write(args, str(expr) + "\n")
+        return _value(f"bound: {bound}", bound=bound)
     if verb == "compslp-inclusion":
-        p1 = slp.parse_slp(_read(args.inputs[0]))
-        p2 = slp.parse_slp(_read(args.inputs[1]))
-        p0 = slp.parse_slp(_read(args.inputs[2]))
-        a1, a2 = reductions.gen_compslp_to_inclusion(p1, p2, p0)
-        if args.output is None:
-            raise ToolError("gen verbs with two outputs require -o BASE")
-        _write(args, udpda.format_udpda(udpda.to_raw(a1)), suffix=".1.updpa")
-        _write(args, udpda.format_udpda(udpda.to_raw(a2)), suffix=".2.updpa")
-        return _emit_value(args, f"{args.output}.1.updpa {args.output}.2.updpa", started,
-                           files=[args.output + ".1.updpa", args.output + ".2.updpa"])
-    # gss
-    inst = reductions.GssInstance(_parse_vector(args.u), _parse_vector(args.v), args.target)
-    expr, bound = reductions.gen_gss_to_intexpr(inst)
-    _write(args, str(expr) + "\n")
-    return _emit_value(args, f"bound: {bound}", started, bound=bound)
+        p1, p2, p0 = (slp.parse_slp(_read(path)) for path in args.inputs)
+        made = reductions.gen_compslp_to_inclusion(p1, p2, p0)
+        suffix, render = ".updpa", _format_machine
+    else:
+        inst = reductions.SubsetSumInstance(_parse_vector(args.weights), args.target)
+        gen = reductions.gen_lohrey if verb == "lohrey" else reductions.gen_subsetsum_to_compslp
+        made = gen(inst)
+        suffix, render = ".slp", slp.format_slp
+    if args.output is None:
+        raise ToolError("gen verbs with two outputs require -o BASE")
+    files = [f"{args.output}.{i}{suffix}" for i in (1, 2)]
+    for path, item in zip(files, made):
+        Path(path).write_text(render(item), encoding="utf-8")
+    return _value(" ".join(files), files=files)
 
 
 # -- sim ----------------------------------------------------------------------
 
 
-def cmd_sim(args) -> int:
-    started = time.monotonic()
+def cmd_sim(args) -> Reply:
     machine = udpda.normalize(_load_machine(args.inputs[0]))
     n = parse_int(args.inputs[1])
     try:
         if args.what == "prefix":
             bits = udpda.run_prefix(machine, n)
-            return _emit_value(args, bits, started, bits=bits)
-        ok = udpda.membership_sim(machine, n)
+            return _value(bits, bits=bits)
+        return _verdict(udpda.membership_sim(machine, n))
     except FuelExhausted:
-        return _emit(args, "budget_exceeded", started=started)
-    return _emit(args, "yes" if ok else "no", started=started)
+        return _verdict(None)
 
 
 # -- parser -------------------------------------------------------------------
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="machine-readable output")
-    common.add_argument("-o", "--output", metavar="PATH", help="output file (or base path)")
-    common.add_argument("--budget", type=int, default=compare.DEFAULT_BUDGET,
-                        help="work budget for componentwise checks: aligned blocks "
-                             "examined, never more than positions")
-    common.add_argument("--bound", type=int, default=64,
-                        help="evaluation bound for integer expressions")
-    common.add_argument("--cap", type=int, default=4096,
-                        help="expansion cap for exact word comparison")
-    common.add_argument("--seed", type=int, default=0,
-                        help="picks the fingerprint's evaluation point "
-                             "for words longer than --cap")
-    common.add_argument("--tight-stack", action="store_true",
-                        help="no effect, kept for old command lines: machines "
-                             "always use a bounded stack alphabet")
-
     parser = argparse.ArgumentParser(
         prog="pda-press",
         description="unary pushdown automata, compressed words, and their decision problems",
     )
     sub = parser.add_subparsers(dest="group", required=True)
+    groups = {}
+    for name, (help_text, verbs) in GROUPS.items():
+        group = groups[name] = sub.add_parser(name, help=help_text)
+        group.add_argument("what", choices=list(verbs))
+        # argparse fills a "*" list from the first run of words only, so the
+        # inputs may follow an option only where every verb takes one
+        group.add_argument("inputs", nargs="+" if min(verbs.values()) else "*")
+        group.add_argument("--json", action="store_true", help="machine-readable output")
+    for name in ("convert", "gen"):
+        groups[name].add_argument("-o", "--output", metavar="PATH",
+                                  help="output file (or base path)")
+        groups[name].add_argument("--tight-stack", action="store_true",
+                                  help="no effect, kept for old command lines: machines "
+                                       "always use a bounded stack alphabet")
+    for name in ("decide", "slp"):
+        groups[name].add_argument("--budget", type=int, default=compare.DEFAULT_BUDGET,
+                                  help="work budget for componentwise checks: aligned "
+                                       "blocks examined, never more than positions")
 
-    convert = sub.add_parser("convert", parents=[common],
-                             help="translate between representations")
-    convert.add_argument("what", choices=[
-        "slp-to-udpda", "indicator-to-udpda", "udpda-to-indicator",
-        "udpda-to-transcript", "transcript-to-indicator", "expr-to-cfg"])
-    convert.add_argument("inputs", nargs=1)
-    convert.set_defaults(handler=cmd_convert)
-
-    dec = sub.add_parser("decide", parents=[common], help="decision problems for machines")
-    dec.add_argument("what", choices=["member", "empty", "universal", "equal", "included"])
-    dec.add_argument("inputs", nargs="+")
-    dec.set_defaults(handler=cmd_decide)
-
-    slpv = sub.add_parser("slp", parents=[common],
-                          help="operations on straight-line programs")
-    slpv.add_argument("what", choices=["len", "query", "equal", "compare"])
-    slpv.add_argument("inputs", nargs="+")
+    slpv = groups["slp"]
+    slpv.add_argument("--cap", type=int, default=4096,
+                      help="expansion cap for exact word comparison")
+    slpv.add_argument("--seed", type=int, default=0,
+                      help="picks the fingerprint's evaluation point for words longer than --cap")
     slpv.add_argument("--order", default="0<=1", help="order literal, e.g. '0<=1'")
     slpv.add_argument("--relation", choices=["order", "wildcard"], default="order")
-    slpv.set_defaults(handler=cmd_slp)
 
-    ix = sub.add_parser("intexpr", parents=[common], help="integer expressions")
-    ix.add_argument("what", choices=["eval", "universal"])
-    ix.add_argument("inputs", nargs=1)
-    ix.set_defaults(handler=cmd_intexpr)
+    groups["intexpr"].add_argument("--bound", type=int, default=64,
+                                   help="evaluation bound for integer expressions")
 
-    gen = sub.add_parser("gen", parents=[common], help="hardness-instance generators")
-    gen.add_argument("what", choices=["lohrey", "subsetsum-compslp", "compslp-inclusion", "gss"])
-    gen.add_argument("inputs", nargs="*")
+    gen = groups["gen"]
     gen.add_argument("--weights", default="", help="comma-separated weights")
     gen.add_argument("--target", type=int, default=0)
     gen.add_argument("--u", default="", help="comma-separated entries")
     gen.add_argument("--v", default="", help="comma-separated entries")
-    gen.set_defaults(handler=cmd_gen)
-
-    sim = sub.add_parser("sim", parents=[common], help="step-by-step simulation")
-    sim.add_argument("what", choices=["prefix", "member"])
-    sim.add_argument("inputs", nargs=2)
-    sim.set_defaults(handler=cmd_sim)
-
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    started = time.monotonic()
     try:
-        return args.handler(args)
+        want = GROUPS[args.group][1][args.what]
+        if len(args.inputs) != want:
+            raise ToolError(f"{args.group} {args.what} takes {want} "
+                            f"input{'' if want == 1 else 's'}, got {len(args.inputs)}")
+        code, text, fields = globals()[f"cmd_{args.group}"](args)
+        if args.json:
+            fields["timing_ms"] = round((time.monotonic() - started) * 1000, 3)
+            print(_json(fields))
+        elif text is not None:
+            print(text)
+        return code
     except (ToolError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_ERROR
-    except IndexError:
-        print("error: missing argument for this verb", file=sys.stderr)
         return EXIT_ERROR
     except Exception as e:  # last resort: a crash must not read as exit 1, "no"
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)

@@ -48,25 +48,34 @@ class RawUnpda:
             raise ValueError(f"initial state {self.initial} not a state")
         if not self.finals <= self.states:
             raise ValueError("final states must be states")
+        # name the least bad transition (by its printed form, which orders
+        # whatever a tuple holds), not the first in set order
+        bad = min(self._bad_transitions(), key=lambda tb: repr(tb[0]), default=None)
+        if bad is not None:
+            raise ValueError(bad[1])
+
+    def _bad_transitions(self):
+        """Yield (transition, what is wrong with it) for each bad transition."""
+        states, alphabet, bottom = self.states, self.stack_alphabet, self.bottom
         for t in self.transitions:
             q1, sigma, gamma, q2, s = t
-            if q1 not in self.states or q2 not in self.states:
-                raise ValueError(f"transition {t} uses unknown states")
-            if sigma not in ("a", ""):
-                raise ValueError(f"transition {t}: input must be 'a' or ''")
-            if gamma not in self.stack_alphabet:
-                raise ValueError(f"transition {t}: unknown stack symbol {gamma}")
-            if not isinstance(s, tuple):
-                raise ValueError(f"transition {t}: push word must be a tuple of symbols")
-            if len(s) > 2:
-                raise ValueError(f"transition {t}: pushes more than two symbols")
-            if any(c not in self.stack_alphabet for c in s):
-                raise ValueError(f"transition {t}: push word uses unknown symbols")
-            if gamma != self.bottom:
-                if self.bottom in s:
-                    raise ValueError(f"transition {t}: bottom symbol re-pushed")
-            elif s and (s[-1] != self.bottom or self.bottom in s[:-1]):
-                raise ValueError(f"transition {t}: bottom symbol must stay at the bottom")
+            if q1 not in states or q2 not in states:
+                yield t, f"transition {t} uses unknown states"
+            elif sigma not in ("a", ""):
+                yield t, f"transition {t}: input must be 'a' or ''"
+            elif gamma not in alphabet:
+                yield t, f"transition {t}: unknown stack symbol {gamma}"
+            elif not isinstance(s, tuple):
+                yield t, f"transition {t}: push word must be a tuple of symbols"
+            elif len(s) > 2:
+                yield t, f"transition {t}: pushes more than two symbols"
+            elif any(c not in alphabet for c in s):
+                yield t, f"transition {t}: push word uses unknown symbols"
+            elif gamma != bottom:
+                if bottom in s:
+                    yield t, f"transition {t}: bottom symbol re-pushed"
+            elif s and (s[-1] != bottom or bottom in s[:-1]):
+                yield t, f"transition {t}: bottom symbol must stay at the bottom"
 
     @property
     def size(self) -> int:
@@ -121,10 +130,10 @@ class NormalUdpda:
             raise ValueError("internal/push/pop domains must be disjoint")
         if self.bottom not in self.stack_alphabet:
             raise ValueError("bottom symbol missing from the stack alphabet")
-        for q in pop_states:
-            for gamma in self.stack_alphabet:
-                if (q, gamma) not in self.pop:
-                    raise ValueError(f"pop state {q} lacks a move for {gamma}")
+        missing = [(q, gamma) for q in pop_states for gamma in self.stack_alphabet
+                   if (q, gamma) not in self.pop]
+        if missing:
+            raise ValueError("pop state {} lacks a move for {}".format(*min(missing)))
         targets = list(self.internal.values())
         targets += [q for q, _ in self.push.values()]
         targets += list(self.pop.values())
@@ -405,45 +414,36 @@ def parse_udpda(text: str) -> RawUnpda:
     where `-` stands for an epsilon read / an empty push word and a push
     word of two symbols is written comma-joined.  `#` starts a comment.
     """
-    states: list[str] | None = None
-    stack: list[str] | None = None
-    initial: str | None = None
-    finals: list[str] = []
+    headers = dict.fromkeys(("states", "stack", "initial", "final"))
     transitions: set[tuple] = set()
-    saw_final = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("states:"):
-            states = line[len("states:"):].split()
-        elif line.startswith("stack:"):
-            stack = line[len("stack:"):].split()
-        elif line.startswith("initial:"):
-            initial = line[len("initial:"):].strip()
-        elif line.startswith("final:"):
-            finals = line[len("final:"):].split()
-            saw_final = True
-        else:
-            parts = line.split()
-            if len(parts) != 6 or parts[3] != "->":
-                raise FormatError(f"line {lineno}: expected 'q <a|-> g -> q2 <s|->'")
-            q1, sigma, gamma, _, q2, s = parts
-            if sigma not in ("a", "-"):
-                raise FormatError(f"line {lineno}: input field must be 'a' or '-'")
-            pushed = () if s == "-" else tuple(s.split(","))
-            transitions.add((q1, "" if sigma == "-" else "a", gamma, q2, pushed))
-    if states is None or stack is None or initial is None or not saw_final:
+        name, colon, rest = line.partition(":")
+        if colon and name in headers:
+            headers[name] = rest  # a repeated header: the last one wins
+            continue
+        parts = line.split()
+        if len(parts) != 6 or parts[3] != "->":
+            raise FormatError(f"line {lineno}: expected 'q <a|-> g -> q2 <s|->'")
+        q1, sigma, gamma, _, q2, s = parts
+        if sigma not in ("a", "-"):
+            raise FormatError(f"line {lineno}: input field must be 'a' or '-'")
+        pushed = () if s == "-" else tuple(s.split(","))
+        transitions.add((q1, "" if sigma == "-" else "a", gamma, q2, pushed))
+    if None in headers.values():
         raise FormatError("missing states:/stack:/initial:/final: header")
+    stack = headers["stack"].split()
     if not stack:
         raise FormatError("stack alphabet must at least contain the bottom symbol")
     try:
         return RawUnpda(
-            states=frozenset(states),
+            states=frozenset(headers["states"].split()),
             stack_alphabet=frozenset(stack),
             bottom=stack[0],
-            initial=initial,
-            finals=frozenset(finals),
+            initial=headers["initial"].strip(),
+            finals=frozenset(headers["final"].split()),
             transitions=frozenset(transitions),
         )
     except ValueError as e:

@@ -418,10 +418,9 @@ class TestHugeNumbers:
         assert run(capsys, "sim", "member", silent, n) == (1, "no", "")
         assert run(capsys, "sim", "member", silent, "0") == (0, "yes", "")
 
-    def test_witness_line(self, capsys):
-        args = argparse.Namespace(json=False)
-        assert cli._emit(args, "no", witness=3 * 10**5000) == cli.EXIT_NO
-        assert capsys.readouterr().out == f"no (witness n=3{'0' * 5000})\n"
+    def test_witness_line(self):
+        code, text, _ = cli._verdict(False, witness=3 * 10**5000)
+        assert (code, text) == (cli.EXIT_NO, f"no (witness n=3{'0' * 5000})")
 
     def test_sim_prefix_past_any_string_length(self, files, capsys):
         n = 10**30
@@ -478,3 +477,122 @@ class TestInternalError:
         assert code == cli.EXIT_INTERNAL == 4
         assert out == ""
         assert err == "internal error: RecursionError: maximum recursion depth exceeded"
+
+
+def run_or_exit(capsys, *argv):
+    """run, counting an argparse error (SystemExit) as its exit code."""
+    try:
+        code = main([str(a) for a in argv])
+    except SystemExit as e:
+        code = e.code
+    out = capsys.readouterr()
+    return code, out.out.strip(), out.err.strip()
+
+
+class TestArguments:
+    """Each verb group takes only the options its handler reads, and each
+    verb exactly its number of inputs."""
+
+    OPTIONS = {
+        "convert": {"--json", "-o", "--tight-stack"},
+        "decide": {"--json", "--budget"},
+        "slp": {"--json", "--budget", "--cap", "--seed", "--order", "--relation"},
+        "intexpr": {"--json", "--bound"},
+        "gen": {"--json", "-o", "--tight-stack", "--weights", "--target", "--u", "--v"},
+        "sim": {"--json"},
+    }
+    INPUTS = [
+        ("convert", "slp-to-udpda", 1), ("convert", "indicator-to-udpda", 1),
+        ("convert", "udpda-to-indicator", 1), ("convert", "udpda-to-transcript", 1),
+        ("convert", "transcript-to-indicator", 1), ("convert", "expr-to-cfg", 1),
+        ("decide", "member", 2), ("decide", "empty", 1), ("decide", "universal", 1),
+        ("decide", "equal", 2), ("decide", "included", 2),
+        ("slp", "len", 1), ("slp", "query", 2), ("slp", "equal", 2), ("slp", "compare", 2),
+        ("intexpr", "eval", 1), ("intexpr", "universal", 1),
+        ("gen", "lohrey", 0), ("gen", "subsetsum-compslp", 0), ("gen", "compslp-inclusion", 3),
+        ("gen", "gss", 0),
+        ("sim", "prefix", 2), ("sim", "member", 2),
+    ]
+
+    @staticmethod
+    def groups():
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        return sub.choices
+
+    def test_option_sets(self):
+        got = {name: {a.option_strings[0] for a in group._actions
+                      if a.option_strings and a.dest != "help"}
+               for name, group in self.groups().items()}
+        assert got == self.OPTIONS
+        assert sum(map(len, got.values())) == 21
+
+    def test_every_verb_has_a_count(self):
+        verbs = {(name, verb) for name, group in self.groups().items()
+                 for a in group._actions if a.dest == "what" for verb in a.choices}
+        assert verbs == {(group, verb) for group, verb, _ in self.INPUTS}
+
+    @pytest.mark.parametrize("group, verb, n", INPUTS)
+    def test_wrong_number_of_inputs_exits_2(self, capsys, tmp_path, group, verb, n):
+        # the count is checked before any input is read
+        for count in (n - 1, n + 1):
+            inputs = [tmp_path / f"missing{i}" for i in range(count)]
+            if count < 0:
+                continue
+            if count == 0:  # argparse asks for at least one input
+                code, out, err = run_or_exit(capsys, group, verb, *inputs)
+                assert code == 2 and out == "" and "required: inputs" in err
+                continue
+            want = f"error: {group} {verb} takes {n} input{'' if n == 1 else 's'}, got {count}"
+            assert run_or_exit(capsys, group, verb, *inputs) == (2, "", want)
+
+    @pytest.mark.parametrize("argv", [
+        ("decide", "equal", "even.updpa", "even.updpa", "--cap", "5"),
+        ("decide", "member", "even.updpa", "4", "--seed", "3"),
+        ("decide", "empty", "even.updpa", "-o", "out"),
+        ("sim", "prefix", "even.updpa", "6", "--budget", "5"),
+        ("convert", "udpda-to-indicator", "even.updpa", "--bound", "3"),
+        ("slp", "len", "p101.slp", "--tight-stack"),
+        ("intexpr", "eval", "e.expr", "--cap", "3"),
+        ("gen", "gss", "--u", "1", "--v", "1", "--order", "0<=1"),
+    ])
+    def test_removed_flag_is_an_argparse_error(self, files, capsys, argv):
+        code, out, err = run_or_exit(capsys, *(files / a if "." in a else a for a in argv))
+        assert code == 2 and out == "" and "unrecognized arguments" in err
+
+    def test_index_error_in_a_handler_exits_4(self, files, capsys, monkeypatch):
+        def crash(p):
+            raise IndexError("list index out of range")
+
+        monkeypatch.setattr(cli.slp, "length", crash)
+        assert run(capsys, "slp", "len", files / "p101.slp") == (
+            4, "", "internal error: IndexError: list index out of range")
+
+    def test_sizes_only_under_json(self, files, capsys, monkeypatch):
+        def crash(a):
+            raise AssertionError("sizes computed without --json")
+
+        monkeypatch.setattr(cli.udpda, "normal_size", crash)
+        monkeypatch.setattr(cli.slp, "size", crash)
+        assert run(capsys, "decide", "equal", files / "even.updpa", files / "even.updpa") == (
+            0, "yes", "")
+        assert run(capsys, "slp", "compare", files / "p101.slp", files / "p101.slp") == (
+            0, "yes", "")
+        monkeypatch.undo()
+        code, out, _ = run(capsys, "decide", "equal", files / "even.updpa", files / "even.updpa",
+                           "--json")
+        size = udpda.normalize(udpda.parse_udpda((files / "even.updpa").read_text())).size
+        assert json.loads(out)["sizes"] == {"machine1": size, "machine2": size}
+        code, out, _ = run(capsys, "slp", "compare", files / "p101.slp", files / "p101.slp",
+                           "--json")
+        payload = json.loads(out)
+        assert list(payload) == ["verdict", "witness", "sizes", "visited", "checked", "timing_ms"]
+        size = slp.size(slp.parse_slp((files / "p101.slp").read_text()))
+        assert payload["sizes"] == {"slp1": size, "slp2": size}
+
+    def test_convert_json_line(self, files, capsys, tmp_path):
+        code, out, _ = run(capsys, "convert", "udpda-to-indicator", files / "even.updpa",
+                           "-o", tmp_path / "even.pair", "--json")
+        payload = json.loads(out)
+        assert code == 0 and list(payload) == ["verdict", "witness", "sizes", "timing_ms"]
+        assert payload["verdict"] is payload["witness"] is None and payload["sizes"] == {}

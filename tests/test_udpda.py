@@ -1,6 +1,10 @@
 """Machines: raw validation, determinism, normalization, simulation."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, note, settings
@@ -348,3 +352,50 @@ class TestFormat:
             udpda.parse_udpda("states: q0\ninitial: q0\nfinal:\n")
         with pytest.raises(FormatError):
             udpda.parse_udpda("states: q0\nstack: _\ninitial: q0\nfinal:\nq0 b _ -> q0 -\n")
+
+    def test_headers(self):
+        head = "states: q0\nstack: _\ninitial: q0\n"
+        # a repeated header: the last one wins; an empty final: is allowed
+        a = udpda.parse_udpda("states: x\n" + head + "final: q0\nfinal:\n")
+        assert (a.states, a.finals) == (frozenset({"q0"}), frozenset())
+        with pytest.raises(FormatError, match=r"^missing states:/stack:/initial:/final: header$"):
+            udpda.parse_udpda(head)
+        # a state named with ':' still starts a transition line
+        a = udpda.parse_udpda("states: q:0\nstack: _\ninitial: q:0\nfinal: q:0\n"
+                              "q:0 a _ -> q:0 _\n")
+        assert a.transitions == frozenset({("q:0", "a", BOTTOM, "q:0", (BOTTOM,))})
+        # a header name without its colon is not a header
+        with pytest.raises(FormatError, match="line 1: expected"):
+            udpda.parse_udpda("states q0\n" + head + "final: q0\n")
+
+
+# a machine file with four transitions to unknown states, and a normal
+# machine whose three pop states lack six moves between them
+ERRORS = """
+from pdapress import udpda
+from pdapress.errors import FormatError
+try:
+    udpda.parse_udpda("states: q0 q1\\nstack: _ x\\ninitial: q0\\nfinal: q0\\n"
+                      "q0 a _ -> u3 _\\nq1 a _ -> u1 _\\nq1 - x -> u2 -\\nq0 - x -> u0 -\\n")
+except FormatError as e:
+    print(e)
+try:
+    udpda.NormalUdpda(internal={}, push={}, reading=frozenset(), initial="p1",
+                      finals=frozenset(), stack_alphabet=frozenset({"_", "x", "y"}), bottom="_",
+                      pop={("p3", "_"): "p3", ("p1", "x"): "p1", ("p2", "y"): "p1"})
+except ValueError as e:
+    print(e)
+"""
+
+
+def test_errors_do_not_follow_hash_order():
+    # the least bad transition and the least pop state lacking a move are
+    # named, whatever order the string hash seed gives the sets
+    path = str(Path(udpda.__file__).parents[1])
+    want = ("transition ('q0', '', 'x', 'u0', ()) uses unknown states\n"
+            "pop state p1 lacks a move for _\n")
+    for seed in range(6):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=path)
+        out = subprocess.run([sys.executable, "-c", ERRORS], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout == want, seed
