@@ -9,7 +9,8 @@ internal error, which is never a verdict) exits with 4.
 With --json a machine-readable object carrying verdict, witness, sizes and
 timing is printed instead; for componentwise checks it also carries the
 blocks visited and the length of the prefix checked clean.  Each verb
-group accepts only the options its handler reads.
+group accepts only the options its handler reads; options and inputs may
+come in any order after the verb group.
 """
 
 from __future__ import annotations
@@ -223,7 +224,7 @@ def cmd_gen(args) -> Reply:
 
 
 def cmd_sim(args) -> Reply:
-    machine = udpda.normalize(_load_machine(args.inputs[0]))
+    machine = udpda.NormalView(_load_machine(args.inputs[0]))
     n = parse_int(args.inputs[1])
     try:
         if args.what == "prefix":
@@ -237,59 +238,58 @@ def cmd_sim(args) -> Reply:
 # -- parser -------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="pda-press",
-        description="unary pushdown automata, compressed words, and their decision problems",
-    )
-    sub = parser.add_subparsers(dest="group", required=True)
-    groups = {}
-    for name, (help_text, verbs) in GROUPS.items():
-        group = groups[name] = sub.add_parser(name, help=help_text)
-        group.add_argument("what", choices=list(verbs))
-        # argparse fills a "*" list from the first run of words only, so the
-        # inputs may follow an option only where every verb takes one
-        group.add_argument("inputs", nargs="+" if min(verbs.values()) else "*")
-        group.add_argument("--json", action="store_true", help="machine-readable output")
-    for name in ("convert", "gen"):
-        groups[name].add_argument("-o", "--output", metavar="PATH",
-                                  help="output file (or base path)")
-        groups[name].add_argument("--tight-stack", action="store_true",
-                                  help="no effect, kept for old command lines: machines "
-                                       "always use a bounded stack alphabet")
-    for name in ("decide", "slp"):
-        groups[name].add_argument("--budget", type=int, default=compare.DEFAULT_BUDGET,
-                                  help="work budget for componentwise checks: aligned "
-                                       "blocks examined, never more than positions")
-
-    slpv = groups["slp"]
-    slpv.add_argument("--cap", type=int, default=4096,
-                      help="expansion cap for exact word comparison")
-    slpv.add_argument("--seed", type=int, default=0,
-                      help="picks the fingerprint's evaluation point for words longer than --cap")
-    slpv.add_argument("--order", default="0<=1", help="order literal, e.g. '0<=1'")
-    slpv.add_argument("--relation", choices=["order", "wildcard"], default="order")
-
-    groups["intexpr"].add_argument("--bound", type=int, default=64,
-                                   help="evaluation bound for integer expressions")
-
-    gen = groups["gen"]
-    gen.add_argument("--weights", default="", help="comma-separated weights")
-    gen.add_argument("--target", type=int, default=0)
-    gen.add_argument("--u", default="", help="comma-separated entries")
-    gen.add_argument("--v", default="", help="comma-separated entries")
+def build_parser(group: str) -> argparse.ArgumentParser:
+    """The parser of one verb group: the verb, its inputs, --json and the
+    options the group's handler reads, in any order after the group."""
+    help_text, verbs = GROUPS[group]
+    parser = argparse.ArgumentParser(prog=f"pda-press {group}", description=help_text)
+    add = parser.add_argument
+    add("what", choices=list(verbs))
+    add("inputs", nargs="*", default=[])  # with a default argparse never asks for inputs
+    add("--json", action="store_true", help="machine-readable output")
+    if group in ("convert", "gen"):
+        add("-o", "--output", metavar="PATH", help="output file (or base path)")
+    if group == "convert":
+        add("--tight-stack", action="store_true",
+            help="no effect, kept for old command lines: machines "
+                 "always use a bounded stack alphabet")
+    if group in ("decide", "slp"):
+        add("--budget", type=int, default=compare.DEFAULT_BUDGET,
+            help="work budget for componentwise checks: aligned "
+                 "blocks examined, never more than positions")
+    if group == "slp":
+        add("--cap", type=int, default=4096, help="expansion cap for exact word comparison")
+        add("--seed", type=int, default=0,
+            help="picks the fingerprint's evaluation point for words longer than --cap")
+        add("--order", default="0<=1", help="order literal, e.g. '0<=1'")
+        add("--relation", choices=["order", "wildcard"], default="order")
+    elif group == "intexpr":
+        add("--bound", type=int, default=64, help="evaluation bound for integer expressions")
+    elif group == "gen":
+        add("--weights", default="", help="comma-separated weights")
+        add("--target", type=int, default=0)
+        add("--u", default="", help="comma-separated entries")
+        add("--v", default="", help="comma-separated entries")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    groups = "".join(f"  {name:<9}{help_text}\n" for name, (help_text, _) in GROUPS.items())
+    top = argparse.ArgumentParser(
+        prog="pda-press", formatter_class=argparse.RawDescriptionHelpFormatter,
+        description="unary pushdown automata, compressed words, and their decision problems",
+        epilog=f"groups:\n{groups}\n'pda-press GROUP -h' lists the group's verbs and options")
+    top.add_argument("group", choices=list(GROUPS))
+    group = top.parse_args(argv[:1]).group
+    args = build_parser(group).parse_intermixed_args(argv[1:])
     started = time.monotonic()
     try:
-        want = GROUPS[args.group][1][args.what]
+        want = GROUPS[group][1][args.what]
         if len(args.inputs) != want:
-            raise ToolError(f"{args.group} {args.what} takes {want} "
+            raise ToolError(f"{group} {args.what} takes {want} "
                             f"input{'' if want == 1 else 's'}, got {len(args.inputs)}")
-        code, text, fields = globals()[f"cmd_{args.group}"](args)
+        code, text, fields = globals()[f"cmd_{group}"](args)
         if args.json:
             fields["timing_ms"] = round((time.monotonic() - started) * 1000, 3)
             print(_json(fields))

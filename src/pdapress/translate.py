@@ -112,26 +112,26 @@ def _reduce_fanout(prods: dict[str, tuple[str, ...]]) -> dict[str, tuple[str, ..
     """Copy-tree pass: afterwards every nonterminal occurs at most twice
     on right-hand sides, at the cost of identity productions."""
     out = dict(prods)
+    occ: dict[str, list[tuple[str, int]]] = {}
+    for parent in sorted(out):
+        for pos, sym in enumerate(out[parent]):
+            if sym not in BIT_ALPHABET:
+                occ.setdefault(sym, []).append((parent, pos))
+    busy = {child: occ[child] for child in sorted(occ) if len(occ[child]) > 2}
     fresh = 0
-    while True:
-        occ: dict[str, list[tuple[str, int]]] = {}
-        for parent in sorted(out):
-            for pos, sym in enumerate(out[parent]):
-                if sym not in BIT_ALPHABET:
-                    occ.setdefault(sym, []).append((parent, pos))
-        busy = sorted(n for n, slots in occ.items() if len(slots) > 2)
-        if not busy:
-            return out
-        for child in busy:
-            slots = occ[child]
+    while busy:
+        copies: dict[str, list[tuple[str, int]]] = {}
+        for child, slots in busy.items():
             for i in range(0, len(slots), 2):
                 fresh += 1
                 copy = f"{child}~{fresh}"
                 out[copy] = (child,)
+                copies.setdefault(child, []).append((copy, 0))
                 for parent, pos in slots[i : i + 2]:
-                    rhs = list(out[parent])
-                    rhs[pos] = copy
-                    out[parent] = tuple(rhs)
+                    out[parent] = out[parent][:pos] + (copy,) + out[parent][pos + 1 :]
+        # a busy child now occurs only in its copies, taken next in name order
+        busy = {child: sorted(slots) for child, slots in copies.items() if len(slots) > 2}
+    return out
 
 
 class _Gadgets:

@@ -69,7 +69,7 @@ class RawUnpda:
                 yield t, f"transition {t}: push word must be a tuple of symbols"
             elif len(s) > 2:
                 yield t, f"transition {t}: pushes more than two symbols"
-            elif any(c not in alphabet for c in s):
+            elif not alphabet.issuperset(s):
                 yield t, f"transition {t}: push word uses unknown symbols"
             elif gamma != bottom:
                 if bottom in s:
@@ -175,8 +175,8 @@ def _pushes(a: RawUnpda, gamma: str, s: tuple[str, ...]) -> tuple[str, ...]:
 class NormalView:
     """The normal form of a raw machine, built one (state, top) pair at a time.
 
-    It has the attributes of a NormalUdpda that the transcript dynamic
-    program reads.  Reading pop[(q, gamma)] for the first time builds that
+    It has the attributes of a NormalUdpda that the transcript walk and the
+    simulator read.  Reading pop[(q, gamma)] for the first time builds that
     pair's chain, as `normalize` does: an isolated reading state if the move
     consumes input, then one push state per pushed symbol; `states`,
     `internal`, `push` and `reading` hold the states built so far.  Chain

@@ -165,3 +165,13 @@ def test_view_matches_normalize_on_the_corpora():
         eager = udpda.normalize(raw)
         for convert in (translate.udpda_to_transcript, translate.udpda_to_indicator):
             assert translate.format_pair(convert(raw)) == translate.format_pair(convert(eager))
+
+
+def test_simulator_on_the_view_matches_normalize():
+    # sim steps a view, whose state count (and so the simulator's warm-up
+    # before it tracks loops) is smaller; bits and verdicts stay the same
+    for raw in _raw_corpus():
+        eager, view = udpda.normalize(raw), udpda.NormalView(raw)
+        assert udpda.run_prefix(view, 60) == udpda.run_prefix(eager, 60)
+        for n in (0, 5, 17):
+            assert udpda.membership_sim(view, n) == udpda.membership_sim(eager, n)

@@ -110,6 +110,18 @@ class TestSlpToUdpda:
             assert m.size <= 80 * pair.size + 80
             assert udpda.run_prefix(m, 3000) == pair.sequence(3000)
 
+    def test_fanout_reduction_over_several_rounds(self):
+        # 21 occurrences of X take four rounds of copies (11, 6, 3, 2); each
+        # round after the first pairs the last round's copies in name order,
+        # so X~10 goes with X~1
+        prods = {f"P{i:02}": ("X", "X") for i in range(10)} | {"P10": ("X", "1"), "X": ("0",)}
+        want = {f"P{i:02}": (f"X~{i + 1}",) * 2 for i in range(10)} | {
+            "P10": ("X~11", "1"), "X": ("0",), "X~21": ("X",), "X~22": ("X",)}
+        links = {1: 12, 10: 12, 11: 13, 2: 13, 3: 14, 4: 14, 5: 15, 6: 15, 7: 16, 8: 16,
+                 9: 17, 12: 18, 13: 18, 14: 19, 15: 19, 16: 20, 17: 20, 18: 21, 19: 21, 20: 22}
+        want |= {f"X~{copy}": (f"X~{parent}",) for copy, parent in links.items()}
+        assert translate._reduce_fanout(prods) == want
+
 
 class TestIndicatorToUdpda:
     @pytest.mark.parametrize(
