@@ -67,10 +67,6 @@ def _load_machine(path: str) -> udpda.RawUnpda:
     return udpda.parse_udpda(_read(path))
 
 
-def _format_machine(a: udpda.NormalUdpda) -> str:
-    return udpda.format_udpda(udpda.to_raw(a))
-
-
 def _json(payload: dict) -> str:
     """json.dumps of an object, with its top-level ints written through
     format_int: json.dumps refuses ints past Python's 4,300-digit limit."""
@@ -115,10 +111,10 @@ def _pair(text: str, kind: type, name: str):
 def cmd_convert(args) -> Reply:
     verb, text = args.what, _read(args.inputs[0])
     if verb == "slp-to-udpda":
-        out = _format_machine(translate.slp_to_udpda(slp.parse_slp(text)))
+        out = udpda.format_udpda(translate.slp_to_udpda(slp.parse_slp(text)))
     elif verb == "indicator-to-udpda":
         pair = _pair(text, translate.IndicatorPair, "an indicator")
-        out = _format_machine(translate.indicator_to_udpda(pair))
+        out = udpda.format_udpda(translate.indicator_to_udpda(pair))
     elif verb == "udpda-to-indicator":
         out = translate.format_pair(translate.udpda_to_indicator(udpda.parse_udpda(text)))
     elif verb == "udpda-to-transcript":
@@ -203,17 +199,17 @@ def cmd_gen(args) -> Reply:
         expr, bound = reductions.gen_gss_to_intexpr(inst)
         _write(args, str(expr) + "\n")
         return _value(f"bound: {bound}", bound=bound)
+    if args.output is None:
+        raise ToolError("gen verbs with two outputs require -o BASE")
     if verb == "compslp-inclusion":
         p1, p2, p0 = (slp.parse_slp(_read(path)) for path in args.inputs)
         made = reductions.gen_compslp_to_inclusion(p1, p2, p0)
-        suffix, render = ".updpa", _format_machine
+        suffix, render = ".updpa", udpda.format_udpda
     else:
         inst = reductions.SubsetSumInstance(_parse_vector(args.weights), args.target)
         gen = reductions.gen_lohrey if verb == "lohrey" else reductions.gen_subsetsum_to_compslp
         made = gen(inst)
         suffix, render = ".slp", slp.format_slp
-    if args.output is None:
-        raise ToolError("gen verbs with two outputs require -o BASE")
     files = [f"{args.output}.{i}{suffix}" for i in (1, 2)]
     for path, item in zip(files, made):
         Path(path).write_text(render(item), encoding="utf-8")

@@ -18,7 +18,7 @@ from itertools import count, groupby
 from typing import Iterable
 
 from . import slp
-from .errors import LengthMismatch, format_int
+from .errors import BadRange, LengthMismatch, format_int
 from .slp import Slp
 
 DEFAULT_BUDGET = 1 << 22
@@ -164,7 +164,8 @@ def comp_slp(
     Returns holds, or fails with the least violating position, or
     budget_exceeded once more than `budget` aligned blocks would need
     examining.  Each block covers at least one position, so any budget
-    that covers the positions up to the answer also covers its blocks.
+    that covers the positions up to the answer also covers its blocks.  A
+    negative budget raises BadRange.
 
     Both sides keep a stack of pending symbols and an offset into the top
     one.  At each step the first rule that fits decides the two tops:
@@ -176,6 +177,8 @@ def comp_slp(
     (d) both blocks at most BLOCK long: compare their expansions;
     (e) otherwise split the longer top into its children (not counted).
     """
+    if budget < 0:
+        raise BadRange(f"budget {format_int(budget)} is negative")
     n = slp.length(p1)
     if n != slp.length(p2):
         raise LengthMismatch(f"lengths {format_int(n)} and {format_int(slp.length(p2))} differ")

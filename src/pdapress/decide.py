@@ -17,6 +17,7 @@ import math
 
 from . import slp
 from .compare import DEFAULT_BUDGET, ZERO_LEQ_ONE, CheckResult, comp_slp
+from .errors import BadRange, format_int
 from .slp import Slp
 from .translate import IndicatorPair, udpda_to_indicator
 from .udpda import NormalUdpda, RawUnpda
@@ -28,8 +29,11 @@ def compressed_membership(a: Machine, n: int) -> bool:
     """Whether a**n is accepted, answered from the indicator pair.
 
     Positions inside the prefix are read off directly; beyond it the answer
-    sits at (n - |prefix|) mod |loop| in the loop.
+    sits at (n - |prefix|) mod |loop| in the loop.  Raises BadRange if n is
+    negative.
     """
+    if n < 0:
+        raise BadRange(f"word length {format_int(n)} is negative")
     pair = udpda_to_indicator(a)
     plen = slp.length(pair.prefix)
     if n < plen:

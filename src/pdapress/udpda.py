@@ -277,28 +277,30 @@ def normal_size(a: RawUnpda) -> int:
     return (len(a.states) + 1 + chains) * len(a.stack_alphabet)
 
 
-def to_raw(a: NormalUdpda) -> RawUnpda:
-    """The same machine as a RawUnpda (one transition per state and top symbol)."""
-    transitions = set()
+def _moves(a: NormalUdpda):
+    """Yield the one move of each (state, top) pair as a raw transition, by
+    sorted state and then sorted stack symbol: the order of the sorted
+    transitions, since all moves of a state share one input field."""
     for q in sorted(a.states):
         sigma = "a" if q in a.reading else ""
         for gamma in sorted(a.stack_alphabet):
             if q in a.internal:
-                q2, s = a.internal[q], (gamma,)
+                yield q, sigma, gamma, a.internal[q], (gamma,)
             elif q in a.push:
-                q2, top = a.push[q]
-                s = (top, gamma)
+                yield q, sigma, gamma, a.push[q][0], (a.push[q][1], gamma)
             else:
-                q2 = a.pop[(q, gamma)]
-                s = (gamma,) if gamma == a.bottom else ()
-            transitions.add((q, sigma, gamma, q2, s))
+                yield q, sigma, gamma, a.pop[(q, gamma)], (gamma,) if gamma == a.bottom else ()
+
+
+def to_raw(a: NormalUdpda) -> RawUnpda:
+    """The same machine as a RawUnpda (one transition per state and top symbol)."""
     return RawUnpda(
         states=a.states,
         stack_alphabet=a.stack_alphabet,
         bottom=a.bottom,
         initial=a.initial,
         finals=a.finals,
-        transitions=frozenset(transitions),
+        transitions=frozenset(_moves(a)),
     )
 
 
@@ -398,7 +400,12 @@ def run_prefix(a: NormalUdpda, n: int, fuel: int = DEFAULT_FUEL) -> str:
 
 
 def membership_sim(a: NormalUdpda, n: int, fuel: int = DEFAULT_FUEL) -> bool:
-    """Whether a**n is accepted, by direct stepping of the unique computation."""
+    """Whether a**n is accepted, by direct stepping of the unique computation.
+
+    Raises BadRange if n is negative.
+    """
+    if n < 0:
+        raise BadRange(f"word length {format_int(n)} is negative")
     finals = a.finals
     for q, consumed in _trace(a, n + 1, fuel):
         if consumed == n and q in finals:
@@ -450,8 +457,8 @@ def parse_udpda(text: str) -> RawUnpda:
         raise FormatError(str(e)) from e
 
 
-def format_udpda(a: RawUnpda) -> str:
-    """Render in the .updpa text format (bottom symbol listed first)."""
+def format_udpda(a: RawUnpda | NormalUdpda) -> str:
+    """Render either machine form in the .updpa text format (bottom symbol first)."""
     stack = [a.bottom] + sorted(a.stack_alphabet - {a.bottom})
     lines = [
         "states: " + " ".join(sorted(a.states)),
@@ -459,6 +466,7 @@ def format_udpda(a: RawUnpda) -> str:
         "initial: " + a.initial,
         "final: " + " ".join(sorted(a.finals)),
     ]
-    for q1, sigma, gamma, q2, s in sorted(a.transitions):
+    moves = sorted(a.transitions) if isinstance(a, RawUnpda) else _moves(a)
+    for q1, sigma, gamma, q2, s in moves:
         lines.append(f"{q1} {sigma or '-'} {gamma} -> {q2} {','.join(s) or '-'}")
     return "\n".join(lines) + "\n"

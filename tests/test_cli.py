@@ -2,7 +2,9 @@
 
 import decimal
 import json
+import shlex
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -66,6 +68,13 @@ class TestDecide:
     def test_member_no(self, files, capsys):
         code, out, _ = run(capsys, "decide", "member", files / "even.updpa", "13")
         assert (code, out) == (1, "no")
+
+    def test_negative_length_exits_2(self, files, capsys):
+        # no word has a negative length: an input error, the same for both
+        # ways of answering, and not a "no"
+        for group in ("decide", "sim"):
+            assert run(capsys, group, "member", files / "even.updpa", "-1") == (
+                2, "", "error: word length -1 is negative")
 
     def test_included_witness(self, files, capsys):
         code, out, _ = run(capsys, "decide", "included",
@@ -221,6 +230,36 @@ class TestConvertRoundTrips:
                 twin = tmp_path / path.name.replace("plain", "tight")
                 assert path.read_bytes() == twin.read_bytes()
 
+    def test_machines_are_written_without_a_raw_copy(self, files, capsys, monkeypatch,
+                                                     tmp_path):
+        # a machine the library built is formatted from its normal form: the
+        # bytes are those of its raw form, which is never built
+        pair = tmp_path / "p.pair"
+        pair.write_text(translate.format_pair(translate.IndicatorPair(
+            slp.literal("0110", "01"), slp.literal("101", "01"))))
+        runs = [("convert", "indicator-to-udpda", pair),
+                ("convert", "slp-to-udpda", files / "p101.slp"),
+                ("gen", "compslp-inclusion", files / "p101.slp", files / "p101.slp",
+                 files / "zero.slp")]
+
+        def written(tag):
+            out = {}
+            for i, argv in enumerate(runs):
+                assert run(capsys, *argv, "-o", tmp_path / f"{tag}{i}")[0] == 0
+                out.update((path.name[len(tag):], path.read_bytes())
+                           for path in tmp_path.glob(f"{tag}{i}*"))
+            return out
+
+        before = written("before")
+        assert len(before) == 4
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a raw machine was built")
+
+        monkeypatch.setattr(udpda, "to_raw", refuse)
+        monkeypatch.setattr(udpda.RawUnpda, "__post_init__", refuse)
+        assert written("after") == before
+
     def test_deterministic_outputs(self, files, capsys, tmp_path):
         out1 = tmp_path / "one.pair"
         out2 = tmp_path / "two.pair"
@@ -274,6 +313,19 @@ class TestGen:
         code, _, err = run(capsys, "gen", "lohrey", "--weights", "1", "--target", "1")
         assert code == 2 and "require -o" in err
 
+    @pytest.mark.parametrize("verb, generator, n", [
+        ("lohrey", "gen_lohrey", 0),
+        ("subsetsum-compslp", "gen_subsetsum_to_compslp", 0),
+        ("compslp-inclusion", "gen_compslp_to_inclusion", 3),
+    ])
+    def test_missing_output_is_checked_before_generating(self, files, capsys, monkeypatch,
+                                                         verb, generator, n):
+        calls = []
+        monkeypatch.setattr(cli.reductions, generator, lambda *args: calls.append(args))
+        code, _, err = run(capsys, "gen", verb, *[files / "p101.slp"] * n,
+                           "--weights", "1", "--target", "1")
+        assert code == 2 and "require -o" in err and calls == []
+
 
 class TestCheckOutputs:
     def test_compare_json_work_counts(self, files, capsys, tmp_path):
@@ -300,6 +352,14 @@ class TestCheckOutputs:
         payload = json.loads(out)
         assert code == 3 and payload["verdict"] == "budget_exceeded"
         assert (payload["visited"], payload["checked"]) == (0, 0)
+
+    def test_negative_budget_exits_2(self, files, capsys):
+        # not a budget exceeded: no budget was given
+        want = (2, "", "error: budget -1 is negative")
+        assert run(capsys, "slp", "compare", files / "p101.slp", files / "p101.slp",
+                   "--budget", "-1") == want
+        assert run(capsys, "decide", "included", files / "even.updpa", files / "loop.updpa",
+                   "--budget", "-1") == want
 
     @pytest.mark.parametrize("text, problem", [
         ("alphabet: 01\nS -> 0 X\n", "missing production X"),
@@ -623,3 +683,22 @@ class TestArguments:
         payload = json.loads(out)
         assert code == 0 and list(payload) == ["verdict", "witness", "sizes", "timing_ms"]
         assert payload["verdict"] is payload["witness"] is None and payload["sizes"] == {}
+
+
+def test_readme_command_lines(tmp_path, capsys, monkeypatch):
+    # every command of the README's example block runs on small files and
+    # answers: none is an input error (2), a budget exceeded (3) or a crash (4)
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = next(b for b in (part.split("```")[0] for part in readme.split("```sh\n")[1:])
+                 if "pda-press" in b)
+    monkeypatch.chdir(tmp_path)
+    Path("p.slp").write_text(slp.format_slp(slp.literal("0110100", "01")))
+    Path("zero.slp").write_text(slp.format_slp(slp.literal("0", "01")))
+    ran = 0
+    for line in block.splitlines():
+        words = shlex.split(line, comments=True)
+        if words:
+            assert words[0] == "pda-press", line
+            assert run(capsys, *words[1:])[0] in (0, 1), line
+            ran += 1
+    assert ran == 13

@@ -14,7 +14,7 @@ from pdapress.compare import (
     order_from_literal,
     partial_word_match,
 )
-from pdapress.errors import LengthMismatch
+from pdapress.errors import BadRange, LengthMismatch
 from pdapress.reductions import SubsetSumInstance, gen_subsetsum_to_compslp
 
 from helpers import HARD_TARGET, HARD_WEIGHTS, random_slp
@@ -80,6 +80,15 @@ class TestCompSlp:
         b = slp.concat(lit("10", "01"), slp.power(lit("01", "01"), (1 << 20) - 1))
         res = comp_slp(b, a, ZERO_LEQ_ONE, budget=1000)
         assert res.verdict == compare.FAILS and res.witness == 0
+
+    def test_negative_budget_is_a_bad_range(self):
+        # budget 0 is a budget exceeded at once; below it there is no budget
+        p = lit("01", "01")
+        assert comp_slp(p, p, ZERO_LEQ_ONE, budget=0).verdict == compare.BUDGET_EXCEEDED
+        with pytest.raises(BadRange, match="budget -1 is negative"):
+            comp_slp(p, p, ZERO_LEQ_ONE, budget=-1)
+        with pytest.raises(BadRange):
+            partial_word_match(lit("a?", "ab?"), lit("ab", "ab?"), budget=-5)
 
     def test_reflexive_on_self(self):
         rng = random.Random(50)

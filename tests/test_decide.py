@@ -5,6 +5,7 @@ import random
 import pytest
 
 from pdapress import compare, decide, slp, udpda
+from pdapress.errors import BadRange
 from pdapress.reductions import (
     SubsetSumInstance,
     gen_compslp_to_inclusion,
@@ -42,6 +43,13 @@ class TestMembership:
             pair = None
             for n in (0, 1, 2, 3, 17, 64, 301):
                 assert decide.compressed_membership(m, n) == udpda.membership_sim(m, n)
+
+    def test_negative_length_is_a_bad_range(self):
+        # not a position of the prefix: the message names the length given
+        m = slp_to_udpda(bits("10"))
+        for member in (decide.compressed_membership, udpda.membership_sim):
+            with pytest.raises(BadRange, match="word length -1 is negative"):
+                member(m, -1)
 
 
 class TestEmptinessUniversality:

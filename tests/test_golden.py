@@ -21,7 +21,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from pdapress import decide, slp, translate, udpda
+from pdapress import decide, reductions, slp, translate, udpda
 
 from helpers import handcrafted_machines, random_normal_udpda, random_raw_udpda, random_slp
 
@@ -66,7 +66,7 @@ def _outputs():
         yield translate.format_pair(pair)
     for pair in pairs[::3]:
         m = translate.indicator_to_udpda(pair)
-        yield udpda.format_udpda(udpda.to_raw(m))
+        yield udpda.format_udpda(m)
 
 
 def corpus_digest() -> str:
@@ -148,14 +148,34 @@ def test_digest_does_not_follow_hash_order():
         assert out.stdout.strip() == GOLDEN, seed
 
 
+def _corpus():
+    """The machines of both corpora."""
+    yield from _machines()
+    rng = random.Random(9003)
+    yield from (m for _, m in handcrafted_machines())
+    yield from (random_normal_udpda(rng, max_states=10) for _ in range(40))
+    for pair in _variant_pairs():
+        yield from pair
+
+
 def _raw_corpus():
     """The machines of both corpora as raw machines."""
-    yield from (udpda.to_raw(m) for m in _machines())
-    rng = random.Random(9003)
-    yield from (udpda.to_raw(m) for m in [m for _, m in handcrafted_machines()]
-                + [random_normal_udpda(rng, max_states=10) for _ in range(40)])
-    for pair in _variant_pairs():
-        yield from map(udpda.to_raw, pair)
+    return map(udpda.to_raw, _corpus())
+
+
+def test_normal_machines_format_as_their_raw_form():
+    # a normal machine is written without its raw copy: the lines must be
+    # those of the sorted raw transitions, byte for byte
+    def inclusion_machines():
+        rng = random.Random(9005)
+        for weights, target in [((1, 2), 3), ((2, 3, 5), 4), ((1, 1, 4), 6), ((3,), 3)]:
+            p1, p2 = reductions.gen_subsetsum_to_compslp(
+                reductions.SubsetSumInstance(weights, target))
+            yield from reductions.gen_compslp_to_inclusion(
+                p1, p2, random_slp(rng, "01", min_len=1, max_len=50))
+
+    for m in [*_corpus(), *inclusion_machines()]:
+        assert udpda.format_udpda(m) == udpda.format_udpda(udpda.to_raw(m))
 
 
 def test_view_matches_normalize_on_the_corpora():
