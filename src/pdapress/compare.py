@@ -2,9 +2,12 @@
 
 The engine walks both grammars in lockstep over aligned blocks and reports
 the least position where the symbol relation fails.  A block is skipped
-whole when its symbols cannot take part in a violation, or when both sides
-are the same nonterminal of the same program at the same offset; short
-blocks are compared as expanded strings.  The problem is coNP-complete for
+whole when its symbols cannot take part in a violation, when both sides
+are the same nonterminal of the same program at the same offset, or when
+the same pair of blocks at the same offsets was already walked clean (a
+bounded memo); short blocks are compared as expanded strings.  Repetitive
+words, whose aligned block pairs recur, are thus walked once per distinct
+pair rather than once per occurrence.  The problem is coNP-complete for
 any relation beyond equality, so the work is bounded by an explicit budget
 of blocks examined -- never more than the positions the blocks cover --
 and running out of it is an ordinary, reportable outcome rather than
@@ -30,6 +33,10 @@ BUDGET_EXCEEDED = "budget_exceeded"
 # Blocks at most this long are compared as expanded strings; longer ones
 # are split into their children.
 BLOCK = 64
+
+# At most this many split block pairs are remembered per comparison, so
+# the walk's memory stays bounded whatever the words' length.
+MEMO = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -175,7 +182,18 @@ def comp_slp(
     (c) equal programs, same top symbol at the same offset: skip it, since
         the relation is reflexive;
     (d) both blocks at most BLOCK long: compare their expansions;
-    (e) otherwise split the longer top into its children (not counted).
+    (e) the same two tops at the same offsets were split before and walked
+        clean: skip the shorter remainder, since it spells the same
+        aligned symbols again;
+    (f) otherwise split the longer top into its children (not counted).
+
+    (f) remembers the pair it splits, up to MEMO pairs per call.  The pair
+    cannot come up again inside the span of its shorter remainder: every
+    later pair there holds a strict descendant of one of its two symbols
+    (grammars are acyclic) or the shorter side's symbol at a larger
+    offset.  A violation inside that span ends the walk, so a remembered
+    pair that comes up again was walked clean.  (d) never sees a
+    remembered pair, as (f) splits none that (d) takes.
     """
     if budget < 0:
         raise BadRange(f"budget {format_int(budget)} is negative")
@@ -195,6 +213,7 @@ def comp_slp(
     lens1, masks1, lens2, masks2 = g1.lens, g1.masks, g2.lens, g2.masks
     st1, st2 = [p1.axiom], [p2.axiom]
     off1 = off2 = pos = visited = 0
+    clean = set()
     while pos < n:
         if visited >= budget:
             return CheckResult(BUDGET_EXCEEDED, None, visited, pos)
@@ -211,11 +230,15 @@ def comp_slp(
                 for i, pair in enumerate(zip(s1, s2)):
                     if pair in bad:
                         return CheckResult(FAILS, pos + i, visited + 1, pos + i)
-        elif l2 <= BLOCK or l1 > BLOCK and l1 - off1 >= l2 - off2:
-            off1 = _descend(st1, off1, g1)
-            continue
+        elif (key := (a, off1, b, off2)) in clean:
+            step = min(l1 - off1, l2 - off2)
         else:
-            off2 = _descend(st2, off2, g2)
+            if len(clean) < MEMO:
+                clean.add(key)
+            if l2 <= BLOCK or l1 > BLOCK and l1 - off1 >= l2 - off2:
+                off1 = _descend(st1, off1, g1)
+            else:
+                off2 = _descend(st2, off2, g2)
             continue
         visited += 1
         off1 = _advance(st1, off1 + step, lens1)

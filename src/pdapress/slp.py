@@ -505,8 +505,11 @@ def equal(p1: Slp, p2: Slp, *, exact_threshold: int = 4096, seed: int = 0) -> bo
     (Schwartz 1980).  Two different words differ by a nonzero polynomial
     with fewer than n roots, so the error is one-sided: False is always
     correct, and True is wrong with probability below 2**-64 at every
-    length.  A word too long for the table raises WordTooLong.
+    length.  A word too long for the table raises WordTooLong, and a
+    negative exact_threshold raises BadRange.
     """
+    if exact_threshold < 0:
+        raise BadRange(f"expansion cap {format_int(exact_threshold)} is negative")
     if p1.alphabet != p2.alphabet:
         raise AlphabetMismatch(f"{sorted(p1.alphabet)} vs {sorted(p2.alphabet)}")
     n = length(p1)

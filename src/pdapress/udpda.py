@@ -385,11 +385,14 @@ def run_prefix(a: NormalUdpda, n: int, fuel: int = DEFAULT_FUEL) -> str:
 
     Raises FuelExhausted, as membership_sim does, if `fuel` epsilon moves
     pass without a read or a loop certificate, and BadRange if n cannot be
-    the length of a string.
+    the length of a string or no memory holds that many bits.
     """
     if not 0 <= n <= sys.maxsize:
         raise BadRange(f"prefix length {format_int(n)} is not between 0 and {sys.maxsize}")
-    bits = bytearray(n)
+    try:
+        bits = bytearray(n)
+    except MemoryError:
+        raise BadRange(f"prefix length {format_int(n)} is too long to allocate") from None
     if n == 0:
         return ""
     finals = a.finals

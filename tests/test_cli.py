@@ -159,6 +159,12 @@ class TestSimAndSlp:
         assert run(capsys, "slp", "equal", files / "p101.slp", files / "p101.slp")[0] == 0
         assert run(capsys, "slp", "equal", files / "p101.slp", files / "zero.slp")[0] == 1
 
+    def test_negative_cap_exits_2(self, files, capsys):
+        p101 = files / "p101.slp"
+        assert run(capsys, "slp", "equal", p101, p101, "--cap", "0") == (0, "yes", "")
+        assert run(capsys, "slp", "equal", p101, p101, "--cap", "-1") == (
+            2, "", "error: expansion cap -1 is negative")
+
     def test_slp_compare_wildcard(self, files, capsys, tmp_path):
         a = tmp_path / "a.slp"
         a.write_text(slp.format_slp(slp.literal("a?", "ab?")))
@@ -486,6 +492,15 @@ class TestHugeNumbers:
         with pytest.raises(BadRange):
             udpda.run_prefix(udpda.normalize(udpda.parse_udpda((files / "even.updpa").read_text())),
                              sys.maxsize + 1)
+
+    def test_sim_prefix_too_long_to_allocate(self, files, capsys):
+        # no address space holds sys.maxsize bytes, so the allocation fails
+        # at once without touching memory
+        n = sys.maxsize
+        want = f"error: prefix length {n} is too long to allocate"
+        assert run(capsys, "sim", "prefix", files / "even.updpa", str(n)) == (2, "", want)
+        with pytest.raises(BadRange, match="too long to allocate"):
+            udpda.run_prefix(udpda.normalize(udpda.parse_udpda((files / "even.updpa").read_text())), n)
 
     def test_json_witness_of_5000_digits(self, files, capsys, monkeypatch):
         limit = sys.get_int_max_str_digits()

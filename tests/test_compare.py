@@ -1,6 +1,7 @@
 """Componentwise comparison engine against the naive positionwise oracle."""
 
 import random
+import sys
 
 import pytest
 
@@ -266,3 +267,94 @@ class TestBlockWalk:
         deep = slp.Slp("01", prods, "U0")
         self.check(deep, slp.literal("0", "01"), ZERO_LEQ_ONE)
         self.check(slp.literal("0", "01"), deep, ZERO_LEQ_ONE)
+
+
+@pytest.fixture()
+def clean_sizes():
+    """How many pairs the memo holds at the end of each comp_slp call.
+
+    The memo only grows during a call, so that is its peak.
+    """
+    sizes = []
+
+    def on_return(frame, event, arg):
+        if event == "return":
+            sizes.append(len(frame.f_locals["clean"]))
+
+    def on_call(frame, event, arg):
+        if frame.f_code is comp_slp.__code__:
+            frame.f_trace_lines = False
+            return on_return
+        return None
+
+    old = sys.gettrace()
+    sys.settrace(on_call)
+    yield sizes
+    sys.settrace(old)
+
+
+class TestCleanMemo:
+    """Aligned block pairs walked clean before are skipped when they recur."""
+
+    def subset_sum_words(self):
+        rng = random.Random(57)
+        for _ in range(30):
+            weights = [rng.choice([2, 2, 3, 3, 4, 5]) for _ in range(rng.randint(6, 9))]
+            while (sum(weights) + 1) << len(weights) > 20_000:
+                weights.pop()
+            if rng.random() < 0.5:  # no weight is 1: unsolvable
+                target = rng.choice([1, sum(weights) - 1])
+            else:
+                target = sum(w for w in weights if rng.random() < 0.5)
+            yield gen_subsetsum_to_compslp(SubsetSumInstance(weights, target))
+
+    def wildcard_words(self):
+        rng = random.Random(58)
+        for _ in range(30):
+            x = runny_word(rng, "ab?", rng.randint(1, 40))
+            y = related_word(rng, x, WILDCARD, 0)
+            if y == x:  # not the same program, which rule (c) would skip whole
+                y = "?" + x[1:] if x[0] != "?" else "a" + x[1:]
+            k = rng.randint(2, 20_000 // len(x))
+            p1, copy = slp.power(slp.literal(x, "ab?"), k), slp.literal(y, "ab?")
+            late = [i for i, ch in enumerate(x) if ch != "?"]
+            if not late or rng.random() < 0.2:
+                yield p1, slp.power(copy, k)
+                continue
+            i = rng.choice(late)
+            bad = slp.literal(y[:i] + ("b" if x[i] == "a" else "a") + y[i + 1:], "ab?")
+            j = rng.randint(0, min(k - 1, 5))  # the violation lies in one of the last copies
+            yield p1, slp.concat(slp.concat(slp.power(copy, k - j - 1), bad), slp.power(copy, j))
+
+    @pytest.mark.parametrize("kind, rel", [("subset_sum_words", ZERO_LEQ_ONE),
+                                           ("wildcard_words", WILDCARD)])
+    def test_agrees_with_naive_oracle(self, kind, rel, monkeypatch):
+        with_memo = without_memo = 0
+        for p1, p2 in getattr(self, kind)():
+            TestBlockWalk().check(p1, p2, rel)
+            with_memo += comp_slp(p1, p2, rel).visited
+            with monkeypatch.context() as m:
+                m.setattr(compare, "MEMO", 0)
+                without_memo += comp_slp(p1, p2, rel).visited
+        # the memo fires on these words: fewer blocks with it than without
+        assert with_memo < without_memo
+
+    def test_hard_instance_within_budget(self):
+        p1, p2 = gen_subsetsum_to_compslp(SubsetSumInstance(HARD_WEIGHTS, HARD_TARGET))
+        res = comp_slp(p1, p2, ZERO_LEQ_ONE, budget=50_000)
+        assert res.verdict == compare.HOLDS and res.checked == slp.length(p1)
+        assert 10_000 < res.visited <= 50_000
+
+    @pytest.mark.parametrize("cap", [0, 4])
+    def test_capped_memo(self, cap, monkeypatch, clean_sizes):
+        cases = [(gen_subsetsum_to_compslp(SubsetSumInstance(HARD_WEIGHTS, 50)), ZERO_LEQ_ONE)]
+        cases += [(words, ZERO_LEQ_ONE) for words in self.subset_sum_words()]
+        cases += [(words, WILDCARD) for words in self.wildcard_words()]
+        want = [comp_slp(p1, p2, rel) for (p1, p2), rel in cases]
+        assert max(clean_sizes) <= compare.MEMO
+        clean_sizes.clear()
+        monkeypatch.setattr(compare, "MEMO", cap)
+        for ((p1, p2), rel), res in zip(cases, want):
+            got = comp_slp(p1, p2, rel)
+            assert (got, got.checked) == (res, res.checked)
+        assert len(clean_sizes) == len(cases) and max(clean_sizes) == cap

@@ -369,3 +369,11 @@ class TestProperties:
             p2 = random_slp(rng, "01", max_len=3000)
             same = slp.expand(p1, 3000) == slp.expand(p2, 3000)
             assert slp.equal(p1, p2) == same
+
+    def test_equal_negative_cap_is_a_bad_range(self):
+        p = slp.literal("101", "01")
+        # cap 0 fingerprints every nonempty word; below it there is no cap
+        assert slp.equal(p, p, exact_threshold=0)
+        assert not slp.equal(p, slp.literal("100", "01"), exact_threshold=0)
+        with pytest.raises(BadRange, match="expansion cap -1 is negative"):
+            slp.equal(p, p, exact_threshold=-1)
