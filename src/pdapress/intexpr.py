@@ -234,6 +234,8 @@ class UnaryCfg:
 
     productions is a tuple of (nonterminal, right-hand side) entries; a
     nonterminal may have several, and empty right-hand sides are allowed.
+    The name `eps` is reserved: the text format writes it for the empty
+    right-hand side.
     """
 
     productions: tuple[tuple[str, tuple[str, ...]], ...]
@@ -245,6 +247,8 @@ class UnaryCfg:
 
     def __post_init__(self):
         names = self.nonterminals
+        if "eps" in names:
+            raise ValueError("nonterminal name eps is reserved for the empty right-hand side")
         if self.axiom not in names:
             raise ValueError(f"axiom {self.axiom} has no production")
         for lhs, rhs in self.productions:

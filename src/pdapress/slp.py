@@ -70,9 +70,9 @@ def validate(p: Slp) -> str | None:
 
     The diagnostic names the first violated invariant and the offending
     symbol: alphabet symbols must be single characters, nonterminal names
-    must not collide with the alphabet, every mentioned nonterminal needs a
-    production (including the axiom), and the mention relation must be
-    acyclic.
+    must not collide with the alphabet or be `eps` (the text format's empty
+    right-hand side), every mentioned nonterminal needs a production
+    (including the axiom), and the mention relation must be acyclic.
     """
     for sym in sorted(p.alphabet):
         if len(sym) != 1:
@@ -80,6 +80,8 @@ def validate(p: Slp) -> str | None:
     for name in p.productions:
         if name in p.alphabet:
             return f"nonterminal {name} collides with the alphabet"
+        if name == "eps":
+            return "nonterminal name eps is reserved for the empty right-hand side"
     if p.axiom not in p.productions:
         return f"missing production {p.axiom}"
     for name, rhs in p.productions.items():
@@ -209,10 +211,10 @@ class _Store:
 
     Names are generated fresh; identical right-hand sides are merged, and a
     right-hand side consisting of a single nonterminal collapses to that
-    nonterminal, so chain productions never materialize.  Importing the same
-    Slp object twice shares one copy of its productions, which keeps
-    repeated self-composition (as in the hardness-instance generators)
-    polynomial in size.
+    nonterminal, so chain productions never materialize.  Importing a
+    program a second time therefore maps it to the same names and adds no
+    production, which keeps repeated self-composition (as in the
+    hardness-instance generators) polynomial in size.
     """
 
     def __init__(self, alphabet: Iterable[str]):
@@ -220,8 +222,6 @@ class _Store:
         self.productions: dict[str, tuple[str, ...]] = {}
         self.lengths: dict[str, int] = {}
         self._memo: dict[tuple[str, ...], str] = {}
-        self._imports: dict[int, str] = {}
-        self._refs: list[Slp] = []
         self._next = 0
 
     def sym_length(self, sym: str) -> int:
@@ -246,8 +246,6 @@ class _Store:
         With termmap, every terminal is replaced by its image word on the
         way in (the image must use this store's alphabet).
         """
-        if termmap is None and id(p) in self._imports:
-            return self._imports[id(p)]
         mapping: dict[str, str] = {}
         for name in _toposort(p, [p.axiom]):
             parts: list[str] = []
@@ -260,11 +258,7 @@ class _Store:
                 else:
                     parts.append(mapping[s])
             mapping[name] = self.add(parts)
-        local = mapping[p.axiom]
-        if termmap is None:
-            self._imports[id(p)] = local
-            self._refs.append(p)  # keep alive: the memo is keyed by id
-        return local
+        return mapping[p.axiom]
 
     def build(self, axiom_sym: str) -> Slp:
         """Extract the grammar reachable from axiom_sym as a canonical Slp.

@@ -266,15 +266,16 @@ class TranscriptWorkspace:
     states in `pushing` still have their push edge and the others a
     horizontal successor; `nonret` sends each state certified to never
     return to prefix/loop nonterminals for its infinite event stream.  The
-    three domains partition the state set at all times, and every vertex
+    three domains partition the states entered so far, and every vertex
     keeps out-degree at most one.
 
     Resolution runs on demand: `transcript` resolves the states of the
     bottom-symbol chain from the initial state, and with them only what
-    their values depend on; the rest of the machine stays pending.  A raw
-    machine is read through a NormalView: the workspace starts from the
-    raw states and the dead state, and a pair's chain states enter it when
-    the walk first pops on that pair.
+    their values depend on.  A state enters the workspace, with its visit
+    events `v` and its exit or pending edge, the first time the walk reads
+    it; the workspace starts empty, and a state the computation never
+    needs costs nothing.  A raw machine is read through a NormalView,
+    which builds a pair's chain when the walk first pops on that pair.
     """
 
     def __init__(self, machine: NormalUdpda | RawUnpda):
@@ -291,29 +292,18 @@ class TranscriptWorkspace:
         self.edge: dict[str, tuple[str, str]] = {}
         self.pushing: set[str] = set()
         self.nonret: dict[str, tuple[str, str]] = {}
-        self._enter(machine.states)
 
-    def _enter(self, states):
-        """Give each new state its visit events and its exit or pending edge."""
-        m, v = self.machine, self.v
-        for q in states:
-            v[q] = self._visit[q in m.finals, q in m.reading]
-            if q in m.internal:
-                self.edge[q] = (m.internal[q], v[q])
-            elif q in m.push:
-                self.edge[q] = (m.push[q][0], v[q])
-                self.pushing.add(q)
-            else:
-                self.exit[q] = (q, self.empty)
-
-    def _landing(self, q: str, gamma: str) -> str:
-        """The state popping gamma in q leads to; the states of a chain that
-        a NormalView builds on this read enter the workspace."""
-        landing = s = self.machine.pop[(q, gamma)]
-        while s not in self.v:  # a new chain ends at a raw state or dead
-            self._enter((s,))
-            s = self.edge[s][0]
-        return landing
+    def _enter(self, q: str):
+        """Give a new state its visit events and its exit or pending edge."""
+        m = self.machine
+        self.v[q] = v = self._visit[q in m.finals, q in m.reading]
+        if q in m.internal:
+            self.edge[q] = (m.internal[q], v)
+        elif q in m.push:
+            self.edge[q] = (m.push[q][0], v)
+            self.pushing.add(q)
+        else:
+            self.exit[q] = (q, self.empty)
 
     def _drop_edge(self, q: str) -> tuple[str, str]:
         """Remove q's pending edge; returns its target and event nonterminal."""
@@ -340,7 +330,7 @@ class TranscriptWorkspace:
         target, _nt = self._drop_edge(q)
         gamma = self.machine.push[q][1]
         q2, seg = self.exit[target]
-        landing = self._landing(q2, gamma)
+        landing = self.machine.pop[(q2, gamma)]
         self.edge[q] = (landing, self.store.add((self.v[q], seg, self.v[q2])))
 
     def apply_r4(self, cycle: list[str]):
@@ -360,7 +350,8 @@ class TranscriptWorkspace:
         its pending edge.
 
         Every state has out-degree at most one, so from a pending state the
-        edges form a single path.  It is followed until a resolved state;
+        edges form a single path.  It is followed until a resolved state,
+        each state entering the workspace as the walk first reaches it;
         unwinding applies R1, R2 or R3 to each state on it, and after R3
         the walk goes on from the new target.  A path that meets itself
         closes a cycle of pending edges, resolved by R4 from its least
@@ -372,6 +363,8 @@ class TranscriptWorkspace:
         on_path: dict[str, int] = {}
         q = start
         while True:
+            if q not in self.v:
+                self._enter(q)
             if q in self.edge and q not in on_path:
                 on_path[q] = len(path)
                 path.append(q)
@@ -411,7 +404,7 @@ class TranscriptWorkspace:
             index[q] = len(segs)
             q2, seg = self.exit[q]
             segs.append(st.add((seg, self.v[q2])))
-            q = self._landing(q2, machine.bottom)
+            q = machine.pop[(q2, machine.bottom)]
             self.resolve(q)
         if q in self.nonret:
             pre, loop = self.nonret[q]

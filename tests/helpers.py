@@ -234,15 +234,19 @@ def check_workspace_invariants(ws: TranscriptWorkspace, rule: str):
     st = ws.store
     dom_e, dom_w = set(ws.exit), ws.pushing
     dom_h = set(ws.edge) - dom_w
-    # I1: the four domains partition the state set
-    assert dom_e | set(ws.edge) | set(ws.nonret) == machine.states, rule
-    assert len(dom_e) + len(ws.edge) + len(ws.nonret) == len(machine.states), rule
+    # I1: the four domains partition the states entered so far, which are
+    # states of the machine
+    entered = set(ws.v)
+    assert entered <= machine.states, rule
+    assert dom_e | set(ws.edge) | set(ws.nonret) == entered, rule
+    assert len(dom_e) + len(ws.edge) + len(ws.nonret) == len(entered), rule
     assert dom_w <= set(ws.edge), rule
-    # Monotonicity: exits only grow, pending pushes only shrink
+    # Monotonicity: exits only grow, and a push that had entered before the
+    # last rule and was no longer pending then is not pending again now
     if ws._watch is not None:
-        old_e, old_w = ws._watch
-        assert len(dom_e) >= old_e and len(dom_w) <= old_w, rule
-    ws._watch = (len(dom_e), len(dom_w))
+        old_e, old_w, old_v = ws._watch
+        assert old_e <= dom_e and dom_w & old_v <= old_w, rule
+    ws._watch = (dom_e, set(dom_w), entered)
     # I2: exit points and return-segment transcripts
     for q in sorted(dom_e):
         got = _segment_events(machine, q, "return")
@@ -277,7 +281,7 @@ class CheckedWorkspace(TranscriptWorkspace):
     """The library's workspace, with invariants I1-I5 and the monotonicity
     of its domains re-checked by simulation after every rule."""
 
-    _watch = None  # (exit count, pending push count) after the last rule
+    _watch = None  # (exits, pending pushes, entered states) after the last rule
 
     def apply_r1(self, q: str):
         super().apply_r1(q)
@@ -297,9 +301,9 @@ class CheckedWorkspace(TranscriptWorkspace):
 
 
 def main_stage(ws: TranscriptWorkspace):
-    """Resolve every state of the workspace; the library itself resolves
-    only what the transcript needs, on demand."""
-    for q in list(ws.edge):
+    """Resolve every state of the machine, entering each; the library
+    itself enters and resolves only what the transcript needs, on demand."""
+    for q in sorted(ws.machine.states):
         ws.resolve(q)
 
 
@@ -307,11 +311,13 @@ def checked_transcript(a: NormalUdpda) -> TranscriptPair:
     """udpda_to_transcript on the checked workspace (small machines only).
 
     Every state is resolved first, so I1-I5 are re-checked on every rule
-    for every state, not only for those the computation reaches; the
-    on-demand transcript of a fresh workspace must give the same pair.
+    for every state, not only for those the computation reaches, and at
+    the end the domains partition the whole state set; the on-demand
+    transcript of a fresh workspace must give the same pair.
     """
     ws = CheckedWorkspace(a)
     main_stage(ws)
+    assert set(ws.v) == a.states
     tp = ws.transcript()
     assert TranscriptWorkspace(a).transcript() == tp
     return tp

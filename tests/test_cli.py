@@ -370,6 +370,9 @@ class TestCheckOutputs:
     @pytest.mark.parametrize("text, problem", [
         ("alphabet: 01\nS -> 0 X\n", "missing production X"),
         ("alphabet: 01\nS -> 0 X\nX -> 1 S\n", "cycle at"),
+        # `eps` is the empty right-hand side, so it cannot name a production
+        ("alphabet: 01\nS -> eps\neps -> 0 1\n", "nonterminal name eps is reserved"),
+        ("alphabet: 01\nS -> eps 1\neps -> 0 1\n", "nonterminal name eps is reserved"),
     ])
     def test_bad_program_exit_2(self, files, capsys, tmp_path, text, problem):
         bad = tmp_path / "bad.slp"

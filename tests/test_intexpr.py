@@ -13,6 +13,7 @@ from pdapress.intexpr import (
     Star,
     Sum,
     Union,
+    UnaryCfg,
     cfg_membership_unary,
     eval_up_to,
     expr_to_cfg,
@@ -182,6 +183,13 @@ class TestCfgFormat:
         for n in range(12):
             assert cfg_membership_unary(back, n) == cfg_membership_unary(g, n)
         assert intexpr.format_cfg(back) == text
+
+    def test_eps_is_reserved(self):
+        # written out, `S -> eps` would read back as the empty word, not a^2
+        with pytest.raises(ValueError, match="eps is reserved"):
+            UnaryCfg((("S", ("eps",)), ("eps", ("a", "a"))), "S")
+        with pytest.raises(ValueError, match="eps is reserved"):
+            intexpr.parse_cfg("terminal: a\nS -> eps\neps -> a a\n")
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,34 @@ class TestValidate:
     def test_missing_axiom(self):
         assert "missing production" in slp.validate(Slp("01", {"A": ("0",)}, "S"))
 
+    def test_eps_is_reserved(self):
+        # written out, `S -> eps` would read back as the empty word, not 01,
+        # and `S -> eps 1` as 011
+        p = Slp("01", {"S": ("eps",), "eps": ("0", "1")}, "S")
+        assert slp.validate(p) == "nonterminal name eps is reserved for the empty right-hand side"
+        for rhs in ("eps", "eps 1"):
+            with pytest.raises(FormatError, match="eps is reserved"):
+                slp.parse_slp(f"alphabet: 01\nS -> {rhs}\neps -> 0 1\n")
+
+
+class TestStore:
+    def test_reimport_adds_no_production(self):
+        # identical right-hand sides are merged, so importing a program again,
+        # as the same object or as an equal copy, maps it to the same names
+        st = slp._Store("01")
+        name = st.imp(P0)
+        prods = dict(st.productions)
+        assert st.imp(P0) == name and st.productions == prods
+        assert st.imp(slp.parse_slp(slp.format_slp(P0))) == name and st.productions == prods
+
+    def test_self_concatenation_stays_small(self):
+        p = P0
+        for _ in range(40):
+            p = slp.concat(p, p)
+        assert len(p.productions) <= len(P0.productions) + 40
+        assert slp.length(p) == 4 << 40
+        assert slp.query(p, (4 << 40) - 3) == "1"
+
 
 class TestExpandLengthQuery:
     def test_expand_basic(self):

@@ -248,8 +248,9 @@ class TestTranscriptWalk:
         self.check(m)
 
     def test_unreached_states_stay_pending(self):
-        # the computation loops on s; the push/internal component u0..u2 is
-        # never entered, so the on-demand transcript leaves it unresolved
+        # the computation loops on s; the pop state p and the push/internal
+        # component u0..u2 are never reached, so they never enter the
+        # workspace: only s has visit events, an edge or a value
         m = normal(
             internal={"s": "s", "u1": "u2", "u2": "u0"},
             push={"u0": ("u1", "x")},
@@ -257,11 +258,13 @@ class TestTranscriptWalk:
             reading={"s", "u1"}, finals={"s", "u2"}, initial="s",
         )
         ws = translate.TranscriptWorkspace(m)
+        assert not ws.v and not ws.exit and not ws.edge and not ws.nonret
         tp = ws.transcript()
-        assert {"u0", "u1", "u2"} <= set(ws.edge) and ws.pushing == {"u0"}
+        assert set(ws.v) == set(ws.nonret) == {"s"}
+        assert not ws.exit and not ws.edge and not ws.pushing
         eager = translate.TranscriptWorkspace(m)
         main_stage(eager)
-        assert not eager.edge
+        assert not eager.edge and set(eager.v) == m.states
         assert eager.transcript() == tp
         self.check(m)
 
@@ -292,13 +295,15 @@ class TestOnDemandNormalization:
                            bottom=BOTTOM, initial="q0", finals=frozenset(states[1::3]),
                            transitions=frozenset(transitions))
         ws = translate.TranscriptWorkspace(a)
-        # the raw states and the dead state, and no chain yet
-        assert set(ws.v) == set(ws.exit) | {"dead"} == set(a.states) | {"dead"}
-        assert list(ws.edge) == ["dead"] and not ws.pushing and not ws.machine.pop
+        # no state has entered and no chain is built yet
+        assert not ws.v and not ws.exit and not ws.edge and not ws.machine.pop
         tp = ws.transcript()
         pairs = len(a.states) * len(a.stack_alphabet)
         assert 0 < len(ws.machine.pop) < pairs // 100
-        assert set(ws.v) == ws.machine.states  # every chain built has entered
+        assert 0 < len(a.states & set(ws.v)) < len(a.states) // 100
+        # every chain state built has entered: the walk follows each chain
+        chains = ws.machine.states - a.states - {"dead"}
+        assert chains and chains <= set(ws.v) <= ws.machine.states
         assert tp == udpda_to_transcript(udpda.normalize(a))
         assert udpda_to_indicator(a).sequence(50) == raw_run_prefix(a, 50)
 
