@@ -21,7 +21,6 @@ from .translate import (
 from .udpda import (
     NormalUdpda,
     RawUnpda,
-    check_deterministic,
     membership_sim,
     normalize,
     run_prefix,

@@ -100,7 +100,8 @@ class WordTooLong(ToolError):
 
 
 class FormatError(ToolError):
-    """A text input (.slp / .updpa / pair / expression file) failed to parse."""
+    """A text input (.slp / .updpa / pair / expression file) failed to parse,
+    or a value holds a name its text format cannot carry."""
 
 
 class ExprSyntaxError(FormatError):

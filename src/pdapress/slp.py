@@ -561,9 +561,22 @@ def parse_slp(text: str) -> Slp:
 
 
 def format_slp(p: Slp) -> str:
-    """Render in the .slp text format (axiom production first)."""
+    """Render in the .slp text format (axiom production first).
+
+    Raises FormatError naming the least alphabet symbol or nonterminal that
+    the format cannot carry: one holding whitespace or '#' (or, for a
+    nonterminal, no character).
+    """
     lines = ["alphabet: " + "".join(sorted(p.alphabet))]
     names = [p.axiom] + [n for n in p.productions if n != p.axiom]
+    bad = [(sym, "alphabet symbol") for sym in p.alphabet if sym.isspace() or sym == "#"]
+    # a cheap test on the joined names; each name is looked at only if it fails
+    joined = " ".join(names)
+    if joined.split() != names or "#" in joined:
+        bad += [(n, "nonterminal") for n in names if n.split() != [n] or "#" in n]
+    if bad:
+        name, kind = min(bad)
+        raise FormatError(f"{kind} {name!r} cannot be written in the .slp format")
     for name in names:
         rhs = p.productions[name]
         lines.append(f"{name} -> " + (" ".join(rhs) if rhs else "eps"))

@@ -280,7 +280,7 @@ class TranscriptWorkspace:
 
     def __init__(self, machine: NormalUdpda | RawUnpda):
         if isinstance(machine, RawUnpda):
-            machine = NormalView(machine)  # raises NotDeterministic on bad input
+            machine = NormalView(machine)  # deterministic: checked when it was built
         self.machine = machine
         self.store = st = slp._Store(EVENT_ALPHABET)
         # events of one visit: f if the state is final, then a if it reads

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from .errors import BadRange, FormatError, FuelExhausted, NotDeterministic, format_int
 
@@ -22,83 +23,78 @@ DEFAULT_BOTTOM = "_"
 DEFAULT_FUEL = 1_000_000
 
 
-@dataclass(frozen=True)
 class RawUnpda:
-    """Unary pushdown automaton over input alphabet {a}.
+    """Unary deterministic pushdown automaton over input alphabet {a}.
 
-    Transitions are tuples (q, sigma, gamma, q2, s): in state q with gamma on
-    top of the stack, read sigma ('a' or '' for an epsilon move), replace
-    gamma by the symbol sequence s (top first) and go to q2.  Bottom
+    Built from transitions, tuples (q, sigma, gamma, q2, s): in state q with
+    gamma on top of the stack, read sigma ('a' or '' for an epsilon move),
+    replace gamma by the symbol sequence s (top first) and go to q2.  Bottom
     discipline: when gamma is not the bottom symbol, s avoids it; when gamma
     is the bottom, s is empty or ends with it.  len(s) <= 2 throughout (the
     size convention).
+
+    The machine is one move map, `moves`: (q, gamma) -> (sigma, q2, s),
+    built and checked once here; a repeated transition counts once.  A
+    malformed transition is a ValueError naming the least by printed form;
+    then two moves on one pair raise NotDeterministic naming the least pair.
     """
 
-    states: frozenset[str]
-    stack_alphabet: frozenset[str]
-    bottom: str
-    initial: str
-    finals: frozenset[str]
-    transitions: frozenset[tuple[str, str, str, str, tuple[str, ...]]]
+    __slots__ = ("states", "stack_alphabet", "bottom", "initial", "finals", "moves")
 
-    def __post_init__(self):
-        if self.bottom not in self.stack_alphabet:
+    def __init__(self, states: frozenset[str], stack_alphabet: frozenset[str], bottom: str,
+                 initial: str, finals: frozenset[str], transitions: Iterable[tuple]):
+        self.states, self.stack_alphabet, self.bottom = states, stack_alphabet, bottom
+        self.initial, self.finals = initial, finals
+        if bottom not in stack_alphabet:
             raise ValueError("bottom symbol missing from the stack alphabet")
-        if self.initial not in self.states:
-            raise ValueError(f"initial state {self.initial} not a state")
-        if not self.finals <= self.states:
+        if initial not in states:
+            raise ValueError(f"initial state {initial} not a state")
+        if not finals <= states:
             raise ValueError("final states must be states")
-        # name the least bad transition (by its printed form, which orders
-        # whatever a tuple holds), not the first in set order
-        bad = min(self._bad_transitions(), key=lambda tb: repr(tb[0]), default=None)
-        if bad is not None:
-            raise ValueError(bad[1])
-
-    def _bad_transitions(self):
-        """Yield (transition, what is wrong with it) for each bad transition."""
-        states, alphabet, bottom = self.states, self.stack_alphabet, self.bottom
-        for t in self.transitions:
+        self.moves = moves = {}
+        bad = []
+        clashes: dict[tuple[str, str], set] = {}
+        for t in transitions:
             q1, sigma, gamma, q2, s = t
             if q1 not in states or q2 not in states:
-                yield t, f"transition {t} uses unknown states"
+                bad.append((t, f"transition {t} uses unknown states"))
             elif sigma not in ("a", ""):
-                yield t, f"transition {t}: input must be 'a' or ''"
-            elif gamma not in alphabet:
-                yield t, f"transition {t}: unknown stack symbol {gamma}"
+                bad.append((t, f"transition {t}: input must be 'a' or ''"))
+            elif gamma not in stack_alphabet:
+                bad.append((t, f"transition {t}: unknown stack symbol {gamma}"))
             elif not isinstance(s, tuple):
-                yield t, f"transition {t}: push word must be a tuple of symbols"
+                bad.append((t, f"transition {t}: push word must be a tuple of symbols"))
             elif len(s) > 2:
-                yield t, f"transition {t}: pushes more than two symbols"
-            elif not alphabet.issuperset(s):
-                yield t, f"transition {t}: push word uses unknown symbols"
-            elif gamma != bottom:
-                if bottom in s:
-                    yield t, f"transition {t}: bottom symbol re-pushed"
-            elif s and (s[-1] != bottom or bottom in s[:-1]):
-                yield t, f"transition {t}: bottom symbol must stay at the bottom"
+                bad.append((t, f"transition {t}: pushes more than two symbols"))
+            elif not stack_alphabet.issuperset(s):
+                bad.append((t, f"transition {t}: push word uses unknown symbols"))
+            elif gamma != bottom and bottom in s:
+                bad.append((t, f"transition {t}: bottom symbol re-pushed"))
+            elif gamma == bottom and s and (s[-1] != bottom or bottom in s[:-1]):
+                bad.append((t, f"transition {t}: bottom symbol must stay at the bottom"))
+            else:
+                move = sigma, q2, s
+                first = moves.setdefault((q1, gamma), move)
+                if first != move:
+                    clashes.setdefault((q1, gamma), {first}).add(move)
+        if bad:
+            # name the least bad transition (by its printed form, which orders
+            # whatever a tuple holds), not the first in input order
+            raise ValueError(min(bad, key=lambda tb: repr(tb[0]))[1])
+        if clashes:
+            (q, gamma), clash = min(clashes.items())
+            what = ("mixes a reading move with an epsilon move"
+                    if len({sigma for sigma, _, _ in clash}) > 1 else f"offers {len(clash)} moves")
+            raise NotDeterministic(f"state {q} on top {gamma} {what}")
+
+    @property
+    def transitions(self) -> frozenset[tuple[str, str, str, str, tuple[str, ...]]]:
+        return frozenset((q, sigma, gamma, q2, s)
+                         for (q, gamma), (sigma, q2, s) in self.moves.items())
 
     @property
     def size(self) -> int:
         return len(self.states) * len(self.stack_alphabet)
-
-
-def check_deterministic(a: RawUnpda) -> str | None:
-    """None if at most one move is available at every configuration.
-
-    Otherwise a description of the first (state, top symbol) pair offering
-    two moves or mixing a reading move with an epsilon move.
-    """
-    sigmas: dict[tuple[str, str], list[str]] = {}
-    for q, sigma, gamma, _q2, _push in a.transitions:
-        sigmas.setdefault((q, gamma), []).append(sigma)
-    clashes = [key for key, moves in sigmas.items() if len(moves) > 1]
-    if not clashes:
-        return None
-    q, gamma = min(clashes)
-    moves = sigmas[(q, gamma)]
-    if len(set(moves)) > 1:
-        return f"state {q} on top {gamma} mixes a reading move with an epsilon move"
-    return f"state {q} on top {gamma} offers {len(moves)} moves"
 
 
 @dataclass(frozen=True)
@@ -183,8 +179,8 @@ class NormalView:
     names are those of `normalize`: they can depend on the order pairs are
     read only when two pairs share a name q.gamma.*, which needs a stack
     symbol ending with '.' and another stack symbol, and then every pair is
-    read up front in sorted order.  Raises NotDeterministic if two moves
-    share a pair, whether or not the computation reaches them.
+    read up front in sorted order.  A pair's chain comes from the raw
+    machine's move map, which its constructor has checked deterministic.
     """
 
     def __init__(self, a: RawUnpda):
@@ -205,7 +201,8 @@ class NormalView:
 
 
 class _Chains(dict):
-    """The pop map of a NormalView, which builds the states it maps to.
+    """The pop map of a NormalView, which builds the states it maps to from
+    the raw machine's move map.
 
     It refers to no view, so a view is freed as soon as its last user drops
     it rather than at the next cycle collection.
@@ -213,9 +210,6 @@ class _Chains(dict):
 
     def __init__(self, a: RawUnpda):
         super().__init__()
-        self.moves = {(t[0], t[2]): t for t in a.transitions}
-        if len(self.moves) < len(a.transitions):  # two moves share a (state, top) pair
-            raise NotDeterministic(check_deterministic(a))
         self.raw = a
         self.states = set(a.states)  # also the names taken
         self.dead = dead = _uniquify("dead", self.states)
@@ -227,11 +221,11 @@ class _Chains(dict):
         """Build the chain of the pair and map the pair to its first state; a
         missing move leads to the non-final reading dead state."""
         q, gamma = key
-        t = self.moves.get(key)
-        if t is None:
+        move = self.raw.moves.get(key)
+        if move is None:
             target = self.dead
         else:
-            _, sigma, _, target, s = t
+            sigma, target, s = move
             # Chain: [read] then pushes applied bottom-up, landing at the target.
             for i, sym in enumerate(_pushes(self.raw, gamma, s)):
                 node = _uniquify(f"{q}.{gamma}.push{i}", self.states)
@@ -273,7 +267,7 @@ def normalize(a: RawUnpda) -> NormalUdpda:
 def normal_size(a: RawUnpda) -> int:
     """normalize(a).size, counted from the moves without building chains."""
     chains = sum(len(_pushes(a, gamma, s)) + (sigma == "a")
-                 for _, sigma, gamma, _, s in a.transitions)
+                 for (_, gamma), (sigma, _, s) in a.moves.items())
     return (len(a.states) + 1 + chains) * len(a.stack_alphabet)
 
 
@@ -300,7 +294,7 @@ def to_raw(a: NormalUdpda) -> RawUnpda:
         bottom=a.bottom,
         initial=a.initial,
         finals=a.finals,
-        transitions=frozenset(_moves(a)),
+        transitions=_moves(a),
     )
 
 
@@ -425,23 +419,27 @@ def parse_udpda(text: str) -> RawUnpda:
     word of two symbols is written comma-joined.  `#` starts a comment.
     """
     headers = dict.fromkeys(("states", "stack", "initial", "final"))
-    transitions: set[tuple] = set()
+    pushes = {"-": ()}  # each push word's tuple, made once
+    transitions = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        name, colon, rest = line.partition(":")
-        if colon and name in headers:
-            headers[name] = rest  # a repeated header: the last one wins
-            continue
+        line = raw.partition("#")[0]
         parts = line.split()
+        if not parts:
+            continue
+        if ":" in parts[0]:  # a header line starts with its name and a colon
+            name, _, rest = line.lstrip().partition(":")
+            if name in headers:
+                headers[name] = rest  # a repeated header: the last one wins
+                continue
         if len(parts) != 6 or parts[3] != "->":
             raise FormatError(f"line {lineno}: expected 'q <a|-> g -> q2 <s|->'")
         q1, sigma, gamma, _, q2, s = parts
         if sigma not in ("a", "-"):
             raise FormatError(f"line {lineno}: input field must be 'a' or '-'")
-        pushed = () if s == "-" else tuple(s.split(","))
-        transitions.add((q1, "" if sigma == "-" else "a", gamma, q2, pushed))
+        pushed = pushes.get(s)
+        if pushed is None:
+            pushed = pushes[s] = tuple(s.split(","))
+        transitions.append((q1, "" if sigma == "-" else "a", gamma, q2, pushed))
     if None in headers.values():
         raise FormatError("missing states:/stack:/initial:/final: header")
     stack = headers["stack"].split()
@@ -454,21 +452,39 @@ def parse_udpda(text: str) -> RawUnpda:
             bottom=stack[0],
             initial=headers["initial"].strip(),
             finals=frozenset(headers["final"].split()),
-            transitions=frozenset(transitions),
+            transitions=transitions,
         )
     except ValueError as e:
         raise FormatError(str(e)) from e
 
 
 def format_udpda(a: RawUnpda | NormalUdpda) -> str:
-    """Render either machine form in the .updpa text format (bottom symbol first)."""
+    """Render either machine form in the .updpa text format (bottom symbol first).
+
+    Raises FormatError naming the least state or stack symbol that the
+    format cannot carry: one holding whitespace or '#' (or no character), a
+    state that starts like a header line ('final:x'), or a stack symbol
+    that is '-' or holds ',' (it would read back as another push word).
+    """
+    states = sorted(a.states)
     stack = [a.bottom] + sorted(a.stack_alphabet - {a.bottom})
     lines = [
-        "states: " + " ".join(sorted(a.states)),
+        "states: " + " ".join(states),
         "stack: " + " ".join(stack),
         "initial: " + a.initial,
         "final: " + " ".join(sorted(a.finals)),
     ]
+    # a cheap test on the header lines; the names are looked at only if it fails
+    if (lines[0].split()[1:] != states or lines[1].split()[1:] != stack or "#" in lines[0]
+            or "#" in lines[1] or ":" in lines[0][7:] or "," in lines[1] or "-" in stack):
+        headers = tuple(line.split(" ", 1)[0] for line in lines)
+        bad = [(q, "state") for q in states
+               if q.split() != [q] or "#" in q or q.startswith(headers)]
+        bad += [(g, "stack symbol") for g in stack
+                if g.split() != [g] or "#" in g or g == "-" or "," in g]
+        if bad:
+            name, kind = min(bad)
+            raise FormatError(f"{kind} {name!r} cannot be written in the .updpa format")
     moves = sorted(a.transitions) if isinstance(a, RawUnpda) else _moves(a)
     for q1, sigma, gamma, q2, s in moves:
         lines.append(f"{q1} {sigma or '-'} {gamma} -> {q2} {','.join(s) or '-'}")

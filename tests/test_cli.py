@@ -263,7 +263,7 @@ class TestConvertRoundTrips:
             raise AssertionError("a raw machine was built")
 
         monkeypatch.setattr(udpda, "to_raw", refuse)
-        monkeypatch.setattr(udpda.RawUnpda, "__post_init__", refuse)
+        monkeypatch.setattr(udpda.RawUnpda, "__init__", refuse)
         assert written("after") == before
 
     def test_deterministic_outputs(self, files, capsys, tmp_path):

@@ -163,6 +163,14 @@ def _raw_corpus():
     return map(udpda.to_raw, _corpus())
 
 
+def test_moves_survive_the_round_trip():
+    # a machine file carries the move map: writing and reading it back
+    # gives the same (state, top) -> (input, target, push) map
+    rng = random.Random(40)
+    for a in [*(random_raw_udpda(rng) for _ in range(100)), *_raw_corpus()]:
+        assert udpda.parse_udpda(udpda.format_udpda(a)).moves == a.moves
+
+
 def test_normal_machines_format_as_their_raw_form():
     # a normal machine is written without its raw copy: the lines must be
     # those of the sorted raw transitions, byte for byte

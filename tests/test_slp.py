@@ -326,6 +326,22 @@ class TestFormat:
         with pytest.raises(FormatError):
             slp.parse_slp("alphabet: 01\n")
 
+    @pytest.mark.parametrize("alphabet, productions, name", [
+        ("#0", {"S": ("#", "0")}, "alphabet symbol '#'"),
+        (" 0", {"S": ("0",)}, "alphabet symbol ' '"),
+        ("01", {"S": ("A B",), "A B": ("1",)}, "nonterminal 'A B'"),
+        ("01", {"S": ("A#",), "A#": ("1",)}, "nonterminal 'A#'"),
+        ("01", {"S": ("",), "": ("1",)}, "nonterminal ''"),
+        # the least unwritable name is named
+        ("01", {"S": ("Z#", "A\t"), "Z#": ("1",), "A\t": ("0",)}, "nonterminal 'A\\t'"),
+    ])
+    def test_unwritable_names_are_refused(self, alphabet, productions, name):
+        # written, these names read back as another program or not at all
+        p = Slp(alphabet, productions, "S")
+        with pytest.raises(FormatError) as err:
+            slp.format_slp(p)
+        assert str(err.value) == f"{name} cannot be written in the .slp format"
+
 
 class TestProperties:
     """Randomized agreement with the expansion oracle."""

@@ -401,17 +401,17 @@ class TestFullPipeline:
         assert pair.sequence(30) == "0" * 30
 
     def test_raw_input_checked(self):
-        bad = udpda.RawUnpda(
-            states=frozenset({"q0"}),
-            stack_alphabet=frozenset({BOTTOM}),
-            bottom=BOTTOM,
-            initial="q0",
-            finals=frozenset(),
-            transitions=frozenset({("q0", "a", BOTTOM, "q0", (BOTTOM,)),
-                                   ("q0", "", BOTTOM, "q0", (BOTTOM,))}),
-        )
-        with pytest.raises(NotDeterministic):
-            udpda_to_indicator(bad)
+        # the raw machine's constructor rejects it before any conversion
+        with pytest.raises(NotDeterministic, match="mixes a reading move with an epsilon move"):
+            udpda_to_indicator(udpda.RawUnpda(
+                states=frozenset({"q0"}),
+                stack_alphabet=frozenset({BOTTOM}),
+                bottom=BOTTOM,
+                initial="q0",
+                finals=frozenset(),
+                transitions=frozenset({("q0", "a", BOTTOM, "q0", (BOTTOM,)),
+                                       ("q0", "", BOTTOM, "q0", (BOTTOM,))}),
+            ))
 
     def test_one_store_matches_the_two_stages(self):
         # udpda_to_indicator runs the characteristic stage on the

@@ -53,46 +53,48 @@ class TestRawValidation:
 
 
 class TestDeterminism:
+    # a RawUnpda is deterministic by construction: its constructor raises
+    # NotDeterministic, naming the least (state, top) pair with two moves
     def test_single_loop_ok(self):
         a = raw(["q0"], [("q0", "a", BOTTOM, "q0", (BOTTOM,))], finals=["q0"])
-        assert udpda.check_deterministic(a) is None
+        assert a.moves == {("q0", BOTTOM): ("a", "q0", (BOTTOM,))}
 
     def test_mixed_eps_and_read(self):
-        a = raw(["q0", "q1"], [("q0", "a", BOTTOM, "q1", (BOTTOM,)),
+        with pytest.raises(NotDeterministic, match="mixes"):
+            raw(["q0", "q1"], [("q0", "a", BOTTOM, "q1", (BOTTOM,)),
                                ("q0", "", BOTTOM, "q0", (BOTTOM,))])
-        assert "mixes" in udpda.check_deterministic(a)
 
     def test_two_reading_moves(self):
-        a = raw(["q0", "q1"], [("q0", "a", BOTTOM, "q1", (BOTTOM,)),
+        with pytest.raises(NotDeterministic, match="offers 2 moves"):
+            raw(["q0", "q1"], [("q0", "a", BOTTOM, "q1", (BOTTOM,)),
                                ("q0", "a", BOTTOM, "q0", (BOTTOM,))])
-        assert "offers 2 moves" in udpda.check_deterministic(a)
 
     @staticmethod
     def conflicts():
         """Conflicts at three (state, top) pairs; the least offers 3 moves."""
-        return raw(["q0", "q1"], [("q1", "a", BOTTOM, "q1", (BOTTOM,)),
-                                  ("q1", "a", BOTTOM, "q0", (BOTTOM,)),
-                                  ("q1", "a", "x", "q0", ()),
-                                  ("q1", "", "x", "q1", ()),
-                                  ("q0", "a", "x", "q0", ()),
-                                  ("q0", "a", "x", "q1", ()),
-                                  ("q0", "a", "x", "q1", ("x",)),
-                                  ("q0", "a", BOTTOM, "q0", (BOTTOM,))],
-                   stack=(BOTTOM, "x"))
+        return dict(states=["q0", "q1"], stack=(BOTTOM, "x"),
+                    transitions=[("q1", "a", BOTTOM, "q1", (BOTTOM,)),
+                                 ("q1", "a", BOTTOM, "q0", (BOTTOM,)),
+                                 ("q1", "a", "x", "q0", ()),
+                                 ("q1", "", "x", "q1", ()),
+                                 ("q0", "a", "x", "q0", ()),
+                                 ("q0", "a", "x", "q1", ()),
+                                 ("q0", "a", "x", "q1", ("x",)),
+                                 ("q0", "a", BOTTOM, "q0", (BOTTOM,))])
 
     def test_least_conflict_is_reported(self):
-        assert udpda.check_deterministic(self.conflicts()) == "state q0 on top x offers 3 moves"
+        with pytest.raises(NotDeterministic) as err:
+            raw(**self.conflicts())
+        assert str(err.value) == "state q0 on top x offers 3 moves"
 
     def test_normalize_rejects(self):
-        a = raw(["q0", "q1"], [("q0", "a", BOTTOM, "q1", (BOTTOM,)),
-                               ("q0", "a", BOTTOM, "q0", (BOTTOM,))])
+        # no machine reaches normalize: building it raises, least conflict first
         with pytest.raises(NotDeterministic):
-            udpda.normalize(a)
-        # the message is check_deterministic's, least conflict first
-        a = self.conflicts()
+            udpda.normalize(raw(["q0", "q1"], [("q0", "a", BOTTOM, "q1", (BOTTOM,)),
+                                               ("q0", "a", BOTTOM, "q0", (BOTTOM,))]))
         with pytest.raises(NotDeterministic) as err:
-            udpda.normalize(a)
-        assert str(err.value) == udpda.check_deterministic(a)
+            udpda.normalize(raw(**self.conflicts()))
+        assert str(err.value) == "state q0 on top x offers 3 moves"
 
 
 class TestNormalize:
@@ -184,15 +186,12 @@ class TestNormalView:
 
     def test_unreached_conflict_is_rejected(self):
         # u is never entered, yet its two moves on the bottom make the
-        # machine nondeterministic, on the on-demand path as on the eager one
-        a = raw(["q0", "u"], [("q0", "a", BOTTOM, "q0", (BOTTOM,)),
+        # machine nondeterministic: building it raises, before any conversion
+        with pytest.raises(NotDeterministic) as err:
+            raw(["q0", "u"], [("q0", "a", BOTTOM, "q0", (BOTTOM,)),
                               ("u", "a", BOTTOM, "q0", ()),
                               ("u", "", BOTTOM, "u", ())])
-        for call in (udpda.normalize, udpda.NormalView, translate.udpda_to_indicator,
-                     translate.udpda_to_transcript):
-            with pytest.raises(NotDeterministic) as err:
-                call(a)
-            assert str(err.value) == udpda.check_deterministic(a)
+        assert str(err.value) == "state u on top _ mixes a reading move with an epsilon move"
 
     def test_normal_size_counts_the_chains(self):
         rng = random.Random(39)
@@ -367,6 +366,46 @@ class TestFormat:
         # a header name without its colon is not a header
         with pytest.raises(FormatError, match="line 1: expected"):
             udpda.parse_udpda("states q0\n" + head + "final: q0\n")
+
+    def test_bad_transition_before_conflict(self):
+        # q0 has two moves on _, and a later line pushes an unknown symbol
+        text = ("states: q0\nstack: _\ninitial: q0\nfinal:\n"
+                "q0 a _ -> q0 _\nq0 - _ -> q0 -\nq0 a _ -> q0 y,_\n")
+        with pytest.raises(FormatError, match="push word uses unknown symbols"):
+            udpda.parse_udpda(text)
+
+    def test_repeated_lines(self):
+        # a repeated line is one move; a clash counts its distinct moves
+        head = "states: q0 q1\nstack: _\ninitial: q0\nfinal:\n"
+        once = udpda.parse_udpda(head + "q0 a _ -> q1 _\n")
+        assert udpda.parse_udpda(head + "q0 a _ -> q1 _\n" * 3).moves == once.moves
+        with pytest.raises(NotDeterministic, match="^state q0 on top _ offers 2 moves$"):
+            udpda.parse_udpda(head + "q0 a _ -> q0 _\nq0 a _ -> q1 _\nq0 a _ -> q1 _\n")
+
+    @pytest.mark.parametrize("states, stack, name", [
+        (["q0"], ["-"], "stack symbol '-'"),  # a push of '-' alone reads as the empty push
+        (["q0"], ["x,y"], "stack symbol 'x,y'"),
+        (["q0", "final:x"], [], "state 'final:x'"),  # reads as a header line
+        (["q0", "states:"], [], "state 'states:'"),
+        (["q0", "q 1"], [], "state 'q 1'"),
+        (["q0", "q#1"], [], "state 'q#1'"),
+        (["q0"], ["x y"], "stack symbol 'x y'"),
+        # the least unwritable name is named
+        (["q0", "q\n1", "initial:z"], ["-", "x,y"], "stack symbol '-'"),
+    ])
+    def test_unwritable_names_are_refused(self, states, stack, name):
+        # q0 pushes each stack symbol g alone on g
+        a = raw(states, [("q0", "a", g, "q0", (g,)) for g in [BOTTOM, *stack]],
+                stack=[BOTTOM, *stack])
+        with pytest.raises(FormatError) as err:
+            udpda.format_udpda(a)
+        assert str(err.value) == f"{name} cannot be written in the .updpa format"
+
+    def test_names_with_colons_are_written(self):
+        a = raw(["q:0", "final"], [("q:0", "a", BOTTOM, "final", ("s:", BOTTOM)),
+                                   ("final", "", "s:", "q:0", ("s:",))],
+                initial="q:0", stack=(BOTTOM, "s:"))
+        assert udpda.parse_udpda(udpda.format_udpda(a)).moves == a.moves
 
 
 # a machine file with four transitions to unknown states, and a normal
