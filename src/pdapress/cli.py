@@ -8,7 +8,8 @@ number of inputs for the verb, exit with 2, and any other failure (an
 internal error, which is never a verdict) exits with 4.
 With --json a machine-readable object carrying verdict, witness, sizes and
 timing is printed instead; for componentwise checks it also carries the
-blocks visited and the length of the prefix checked clean.  Each verb
+blocks visited, the length of the prefix checked clean and the period of
+the residue check (0 when the walk decided alone).  Each verb
 group accepts only the options its handler reads; options and inputs may
 come in any order after the verb group.
 """
@@ -95,7 +96,8 @@ def _verdict(ok: bool | None, witness=None, sizes=None, **extra) -> Reply:
 def _check(res: compare.CheckResult, sizes) -> Reply:
     """A componentwise check's outcome, with its work counts under --json."""
     ok = {compare.HOLDS: True, compare.FAILS: False}.get(res.verdict)
-    return _verdict(ok, res.witness, sizes, visited=res.visited, checked=res.checked)
+    return _verdict(ok, res.witness, sizes, visited=res.visited, checked=res.checked,
+                    period=res.period)
 
 
 # -- convert ----------------------------------------------------------------
@@ -252,7 +254,8 @@ def build_parser(group: str) -> argparse.ArgumentParser:
     if group in ("decide", "slp"):
         add("--budget", type=int, default=compare.DEFAULT_BUDGET,
             help="work budget for componentwise checks: aligned "
-                 "blocks examined, never more than positions")
+                 "blocks examined, never more than positions; a residue "
+                 "check counts as one block")
     if group == "slp":
         add("--cap", type=int, default=4096, help="expansion cap for exact word comparison")
         add("--seed", type=int, default=0,

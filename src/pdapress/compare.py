@@ -12,6 +12,11 @@ any relation beyond equality, so the work is bounded by an explicit budget
 of blocks examined -- never more than the positions the blocks cover --
 and running out of it is an ordinary, reportable outcome rather than
 nontermination.
+
+A side that is structurally a power B^k of a short base (|B| at most
+PERIOD_CAP) is decided exactly from residue classes modulo |B| once the
+walk has spent what that check costs: work pseudo-polynomial in the period,
+with no dependence on k.
 """
 
 from __future__ import annotations
@@ -38,6 +43,10 @@ BLOCK = 64
 # the walk's memory stays bounded whatever the words' length.
 MEMO = 1 << 16
 
+# A side that is a power of a base at most this long may be decided by
+# residues modulo the base length (see comp_slp).
+PERIOD_CAP = 1 << 16
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -46,13 +55,16 @@ class CheckResult:
     visited counts the aligned blocks examined.  checked is the length of
     the prefix known to be free of violations: the whole word when the
     check holds, the witness when it fails, and how far the walk got when
-    the budget ran out.  Neither takes part in equality.
+    the budget ran out.  period is the base length the residue check used,
+    0 when the walk decided alone.  None of the three takes part in
+    equality.
     """
 
     verdict: str
     witness: int | None = None
     visited: int = field(default=0, compare=False)
     checked: int = field(default=0, compare=False)
+    period: int = field(default=0, compare=False)
 
     @property
     def holds(self) -> bool:
@@ -106,11 +118,15 @@ class _View:
     def __init__(self, p: Slp, bits: dict[str, int]):
         self.prods = p.productions
         self.alphabet = p.alphabet
+        self.axiom = p.axiom
         self.lens = lens = {**slp._all_lengths(p), **dict.fromkeys(p.alphabet, 1)}
         self.masks = {t: bits[t] for t in p.alphabet}
         self.texts = {t: t for t in p.alphabet}
-        for name in slp._toposort(p, [p.axiom]):
+        self.order = slp._toposort(p, [p.axiom])
+        self.size = 0  # symbols on the reachable right-hand sides
+        for name in self.order:
             rhs = self.prods[name]
+            self.size += len(rhs)
             self.masks[name] = self._mask(rhs)
             if lens[name] <= BLOCK:
                 self.texts[name] = "".join(map(self.texts.__getitem__, rhs))
@@ -160,6 +176,94 @@ def _descend(stack: list, off: int, view: _View) -> int:
     return _advance(stack, off, view.lens)
 
 
+def _power_base(g: _View) -> str | None:
+    """The base B when g's word is structurally B^k with k >= 2 and
+    |B| <= PERIOD_CAP, else None.
+
+    Bottom-up, a nonterminal whose nonempty children all share one base is
+    a power of that base; any other nonterminal is its own base.
+    """
+    lens = g.lens
+    base = {t: t for t in g.alphabet}
+    for name in g.order:
+        kids = {base[sym] for sym in g.prods[name] if lens[sym]}
+        base[name] = kids.pop() if len(kids) == 1 else name
+    b = base[g.axiom]
+    return b if 2 * lens[b] <= lens[g.axiom] and lens[b] <= PERIOD_CAP else None
+
+
+def _short_power(g1: _View, g2: _View):
+    """(d, power side, its base, other side, whether the power is on the
+    right) for the side with the shorter base of length d, the right one on
+    a tie; None when neither side is a short power."""
+    plan = None
+    for power, other, on_right in ((g2, g1, True), (g1, g2, False)):
+        base = _power_base(power)
+        if base is not None and (plan is None or power.lens[base] < plan[0]):
+            plan = (power.lens[base], power, base, other, on_right)
+    return plan
+
+
+def _residues(g: _View, x: str, d: int) -> dict:
+    """Per symbol whose word holds x, the d-bit mask of the residues modulo d
+    of the positions of x: the OR of its children's masks, each rotated by
+    the child's offset."""
+    full = (1 << d) - 1
+    occ = {x: 1}
+    bit, lens = g.masks[x], g.lens
+    for name in g.order:
+        if g.masks[name] & bit:
+            mask = off = 0
+            for sym in g.prods[name]:
+                m = occ.get(sym)
+                if m:
+                    mask |= m << off | m >> d - off
+                off = (off + lens[sym]) % d
+            occ[name] = mask & full
+    return occ
+
+
+def _least_violation(g: _View, want: dict[str, int], d: int) -> int | None:
+    """Least position i of g's word holding a symbol x with bit i mod d set
+    in want[x], or None: one left-first descent guided by the residue masks."""
+    occ = {x: _residues(g, x, d) for x in want}
+
+    def hit(sym, shift):
+        for x, bad in want.items():
+            m = occ[x].get(sym)
+            if m and (m << shift | m >> d - shift) & bad:
+                return True
+        return False
+
+    sym, pos = g.axiom, 0
+    if not hit(sym, 0):
+        return None
+    while sym not in g.alphabet:
+        for sym in g.prods[sym]:
+            if hit(sym, pos % d):
+                break
+            pos += g.lens[sym]
+    return pos
+
+
+def _residue_witness(d: int, power: _View, base: str, other: _View, on_right: bool,
+                     bad: set) -> int | None:
+    """The least violating position when power's word is base^k, |base| = d.
+
+    Position i of the power side holds base[i mod d], so a symbol x of the
+    other side violates exactly at the residues where base holds a symbol
+    that x is not related to (in the order of the two sides).
+    """
+    at: dict[str, int] = {}  # per symbol of the power side, its positions in base
+    want: dict[str, int] = {}
+    for x, y in bad if on_right else {(y, x) for x, y in bad}:
+        if x in other.alphabet and y in power.alphabet:
+            if y not in at:
+                at[y] = _residues(power, y, d).get(base, 0)
+            want[x] = want.get(x, 0) | at[y]
+    return _least_violation(other, {x: m for x, m in want.items() if m}, d)
+
+
 def comp_slp(
     p1: Slp,
     p2: Slp,
@@ -194,6 +298,22 @@ def comp_slp(
     offset.  A violation inside that span ends the walk, so a remembered
     pair that comes up again was walked clean.  (d) never sees a
     remembered pair, as (f) splits none that (d) takes.
+
+    Residues.  Once the walk has examined as many blocks as both programs
+    have symbols without an answer, it looks once for a side that is
+    structurally a power B^k, k >= 2, of a base of d <= PERIOD_CAP symbols
+    (the shorter base if both are).  If there is one, the walk goes on for
+    up to the residue check's own cost, size * ceil(d / 64) blocks with
+    size the symbols of the other side's program, and then the check
+    decides: per
+    nonterminal of the other side and per symbol x that can violate, a
+    d-bit mask of the residues mod d where x occurs, tested against the
+    residues where B holds a symbol x is not related to; a hit leads one
+    left-first descent to the least witness.  The decision counts as one
+    more block.  The walk's blocks cover at most the positions it checked
+    clean, which are fewer than the answer needs, so the accounting above
+    still holds; and an early violation never pays for the masks.  The
+    result's period is then d.
     """
     if budget < 0:
         raise BadRange(f"budget {format_int(budget)} is negative")
@@ -214,9 +334,24 @@ def comp_slp(
     st1, st2 = [p1.axiom], [p2.axiom]
     off1 = off2 = pos = visited = 0
     clean = set()
+    # the walk's allowance before it looks for a short power, and whether it looked
+    stop, looked = min(budget, g1.size + g2.size), False
     while pos < n:
-        if visited >= budget:
-            return CheckResult(BUDGET_EXCEEDED, None, visited, pos)
+        if visited >= stop:
+            if visited >= budget:
+                return CheckResult(BUDGET_EXCEEDED, None, visited, pos)
+            if looked:
+                witness = _residue_witness(*plan, bad)
+                if witness is None:
+                    return CheckResult(HOLDS, None, visited + 1, n, d)
+                return CheckResult(FAILS, witness, visited + 1, witness, d)
+            plan, looked = _short_power(g1, g2), True
+            if plan is None:
+                stop = budget
+            else:  # the masks cost ceil(d / 64) word operations per symbol of the other side
+                d, _, _, other, _ = plan
+                stop = min(budget, visited + other.size * -(-d // 64))
+            continue
         a, b = st1[-1], st2[-1]
         l1, l2 = lens1[a], lens2[b]
         if not masks1[a] & bad1 or same and a == b and off1 == off2:

@@ -5,17 +5,19 @@ words involved are only ever handled in compressed form, as windows cut
 from prefix.loop^omega by `IndicatorPair.window`.  Equivalence is one
 `slp.equal` over windows of P + k1 + k2 - gcd(k1, k2) characters, where P
 is the longer prefix and k1, k2 the loop lengths.  Inclusion is the
-componentwise comparison of windows of P + lcm(k1, k2) characters, one full
+componentwise comparison of the first P + lcm(k1, k2) characters, one full
 joint period, so it inherits that check's explicit work budget of aligned
 blocks examined (the problem is coNP-complete and a blow-up cannot be ruled
-out).
+out).  When a loop is short, the joint period is compared as a power of
+each loop, which the comparison decides from residues modulo the shorter
+loop: pseudo-polynomial in that length, whatever the lcm.
 """
 
 from __future__ import annotations
 
 import math
 
-from . import slp
+from . import compare, slp
 from .compare import DEFAULT_BUDGET, ZERO_LEQ_ONE, CheckResult, comp_slp
 from .errors import BadRange, format_int
 from .slp import Slp
@@ -79,23 +81,47 @@ def equivalence(a1: Machine, a2: Machine) -> bool:
     return _pair_equal(udpda_to_indicator(a1), udpda_to_indicator(a2))
 
 
+def _joint_period(pair: IndicatorPair, start: int, span: int) -> Slp:
+    """Program for characters [start, start + span) of prefix.loop^omega,
+    for start at least |prefix| and span a multiple of |loop|: the loop
+    rotated to start, raised to span / |loop|."""
+    k = slp.length(pair.loop)
+    loop = slp.cyclic_shift(pair.loop, (start - slp.length(pair.prefix)) % k)
+    return slp.power(loop, span // k)
+
+
+def _pair_included(x: IndicatorPair, y: IndicatorPair, budget: int) -> CheckResult:
+    """Whether x's sequence is below y's at every position (see inclusion)."""
+    k1, k2 = slp.length(x.loop), slp.length(y.loop)
+    p, span = max(slp.length(x.prefix), slp.length(y.prefix)), math.lcm(k1, k2)
+    if min(k1, k2) > compare.PERIOD_CAP:
+        return comp_slp(x.window(p + span), y.window(p + span), ZERO_LEQ_ONE, budget)
+    head = comp_slp(x.window(p), y.window(p), ZERO_LEQ_ONE, budget)
+    if not head.holds:
+        return head
+    tail = comp_slp(_joint_period(x, p, span), _joint_period(y, p, span), ZERO_LEQ_ONE,
+                    budget - head.visited)
+    return CheckResult(tail.verdict, None if tail.witness is None else p + tail.witness,
+                       head.visited + tail.visited, p + tail.checked,
+                       tail.period or head.period)
+
+
 def inclusion(a1: Machine, a2: Machine, budget: int = DEFAULT_BUDGET) -> CheckResult:
     """Whether L(a1) is a subset of L(a2); a failure witness is the length of
     a shortest word accepted by a1 but not a2.
 
     Both characteristic sequences are determined by the positions below the
-    longer prefix plus the residue modulo the loop lengths, so comparing one
-    window of length max(|prefixes|) + lcm(|loops|) under the order 0 <= 1
-    is complete.  The comparison walks aligned blocks of the two windows,
-    so long runs of rejected lengths on the left or accepted lengths on the
-    right cost one block each; `budget` bounds the blocks examined, never
-    more than positions.  The lcm may be exponential in the machine sizes
-    and the blocks may be too; running out of budget is then the honest
-    answer.
+    longer prefix, P, plus the residue modulo the loop lengths, so comparing
+    the first P + lcm(|loops|) positions under the order 0 <= 1 is complete.
+    When a loop has at most compare.PERIOD_CAP characters, that is two
+    comparisons: the windows [0, P), then [P, P + lcm) as the two loops
+    rotated to P and raised to lcm / |loop| copies each, which the
+    comparison can decide from residues modulo the shorter loop.  Otherwise
+    one comparison walks the whole window.  Either way the comparison walks
+    aligned blocks, so long runs of rejected lengths on the left or accepted
+    lengths on the right cost one block each; `budget` bounds the blocks
+    examined over both parts, never more than positions.  With long loops
+    the lcm may be exponential in the machine sizes and the blocks may be
+    too; running out of budget is then the honest answer.
     """
-    x = udpda_to_indicator(a1)
-    y = udpda_to_indicator(a2)
-    span = max(slp.length(x.prefix), slp.length(y.prefix)) + math.lcm(
-        slp.length(x.loop), slp.length(y.loop)
-    )
-    return comp_slp(x.window(span), y.window(span), ZERO_LEQ_ONE, budget)
+    return _pair_included(udpda_to_indicator(a1), udpda_to_indicator(a2), budget)

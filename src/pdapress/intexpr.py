@@ -371,6 +371,14 @@ def parse_cfg(text: str) -> UnaryCfg:
 
 
 def format_cfg(g: UnaryCfg) -> str:
+    """Render in the .cfg format (axiom productions first).
+
+    Raises FormatError naming the least nonterminal that the format cannot
+    carry: an empty one, or one holding whitespace or '#'.
+    """
+    bad = [name for name in g.nonterminals if name.split() != [name] or "#" in name]
+    if bad:
+        raise FormatError(f"nonterminal {min(bad)!r} cannot be written in the .cfg format")
     lines = ["terminal: a"]
     ordered = [p for p in g.productions if p[0] == g.axiom]
     ordered += [p for p in g.productions if p[0] != g.axiom]

@@ -22,6 +22,8 @@ from pdapress.errors import (
     parse_int,
 )
 
+from helpers import HARD_TARGET, HARD_WEIGHTS
+
 
 @pytest.fixture()
 def files(tmp_path):
@@ -347,6 +349,32 @@ class TestCheckOutputs:
         # the text output is unchanged
         assert run(capsys, "slp", "compare", a, b) == (1, "no (witness n=1)", "")
 
+    def test_json_period(self, tmp_path, capsys):
+        # the HARD subset-sum words: p2 is a power of a 103-bit base
+        weights = ",".join(map(str, HARD_WEIGHTS))
+        assert run(capsys, "gen", "subsetsum-compslp", "--weights", weights,
+                   "--target", HARD_TARGET, "-o", tmp_path / "ss")[0] == 0
+        words = (tmp_path / "ss.1.slp", tmp_path / "ss.2.slp")
+        code, out, _ = run(capsys, "slp", "compare", *words, "--json")
+        payload = json.loads(out)
+        assert code == 0 and payload["verdict"] == "yes" and payload["period"] == 103
+        assert list(payload)[3:6] == ["visited", "checked", "period"]
+        assert payload["visited"] < 15_664 // 4
+        code, out, _ = run(capsys, "slp", "compare", *words, "--json", "--budget", "10")
+        payload = json.loads(out)
+        assert code == 3 and (payload["visited"], payload["period"]) == (10, 0)
+        # loops of 3,027 and 3,039 bits: a joint period of 3.07M positions
+        machines = []
+        for k in (1009, 1013):
+            pair = translate.IndicatorPair(slp.literal("0", "01"),
+                                           slp.power(slp.literal("100", "01"), k))
+            machines.append(tmp_path / f"m{k}.updpa")
+            machines[-1].write_text(udpda.format_udpda(translate.indicator_to_udpda(pair)))
+        code, out, _ = run(capsys, "decide", "included", *machines, "--json")
+        payload = json.loads(out)
+        assert code == 0 and payload["checked"] == 1 + 3 * 1009 * 1013
+        assert payload["period"] in (3, 3 * 1009) and payload["visited"] <= 1000
+
     def test_included_json_work_counts(self, files, capsys):
         code, out, _ = run(capsys, "decide", "included",
                            files / "even.updpa", files / "loop.updpa", "--json")
@@ -516,7 +544,7 @@ class TestHugeNumbers:
         assert code == 1 and payload["verdict"] == "no"
         assert payload["witness"] == payload["checked"] == witness
         assert payload["visited"] == 2 and set(payload) == {
-            "verdict", "witness", "sizes", "visited", "checked", "timing_ms"}
+            "verdict", "witness", "sizes", "visited", "checked", "period", "timing_ms"}
         assert sys.get_int_max_str_digits() == limit
         # below the limit the text is json.dumps's, byte for byte
         small = {"verdict": "no", "witness": -3, "sizes": {"m": 4}, "ok": True, "t": 0.5}
@@ -691,7 +719,8 @@ class TestArguments:
         code, out, _ = run(capsys, "slp", "compare", files / "p101.slp", files / "p101.slp",
                            "--json")
         payload = json.loads(out)
-        assert list(payload) == ["verdict", "witness", "sizes", "visited", "checked", "timing_ms"]
+        assert list(payload) == ["verdict", "witness", "sizes", "visited", "checked", "period",
+                                 "timing_ms"]
         size = slp.size(slp.parse_slp((files / "p101.slp").read_text()))
         assert payload["sizes"] == {"slp1": size, "slp2": size}
 

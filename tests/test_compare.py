@@ -1,11 +1,12 @@
 """Componentwise comparison engine against the naive positionwise oracle."""
 
+import math
 import random
 import sys
 
 import pytest
 
-from pdapress import compare, slp
+from pdapress import compare, reductions, slp
 from pdapress.compare import (
     WILDCARD,
     ZERO_LEQ_ONE,
@@ -67,7 +68,9 @@ class TestCompSlp:
         with pytest.raises(LengthMismatch):
             comp_slp(lit("01", "01"), lit("011", "01"), ZERO_LEQ_ONE)
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
+        # the walk alone: by residues HARD holds within the budget
+        monkeypatch.setattr(compare, "PERIOD_CAP", 0)
         p1, p2 = gen_subsetsum_to_compslp(SubsetSumInstance(HARD_WEIGHTS, HARD_TARGET))
         res = comp_slp(p1, p2, ZERO_LEQ_ONE, budget=10_000)
         assert res.verdict == compare.BUDGET_EXCEEDED
@@ -329,6 +332,7 @@ class TestCleanMemo:
     @pytest.mark.parametrize("kind, rel", [("subset_sum_words", ZERO_LEQ_ONE),
                                            ("wildcard_words", WILDCARD)])
     def test_agrees_with_naive_oracle(self, kind, rel, monkeypatch):
+        monkeypatch.setattr(compare, "PERIOD_CAP", 0)  # the walk decides every pair
         with_memo = without_memo = 0
         for p1, p2 in getattr(self, kind)():
             TestBlockWalk().check(p1, p2, rel)
@@ -339,7 +343,8 @@ class TestCleanMemo:
         # the memo fires on these words: fewer blocks with it than without
         assert with_memo < without_memo
 
-    def test_hard_instance_within_budget(self):
+    def test_hard_instance_within_budget(self, monkeypatch):
+        monkeypatch.setattr(compare, "PERIOD_CAP", 0)  # the walk alone
         p1, p2 = gen_subsetsum_to_compslp(SubsetSumInstance(HARD_WEIGHTS, HARD_TARGET))
         res = comp_slp(p1, p2, ZERO_LEQ_ONE, budget=50_000)
         assert res.verdict == compare.HOLDS and res.checked == slp.length(p1)
@@ -347,6 +352,7 @@ class TestCleanMemo:
 
     @pytest.mark.parametrize("cap", [0, 4])
     def test_capped_memo(self, cap, monkeypatch, clean_sizes):
+        monkeypatch.setattr(compare, "PERIOD_CAP", 0)  # the walk decides every pair
         cases = [(gen_subsetsum_to_compslp(SubsetSumInstance(HARD_WEIGHTS, 50)), ZERO_LEQ_ONE)]
         cases += [(words, ZERO_LEQ_ONE) for words in self.subset_sum_words()]
         cases += [(words, WILDCARD) for words in self.wildcard_words()]
@@ -358,3 +364,164 @@ class TestCleanMemo:
             got = comp_slp(p1, p2, rel)
             assert (got, got.checked) == (res, res.checked)
         assert len(clean_sizes) == len(cases) and max(clean_sizes) == cap
+
+
+def residue_witness(p1, p2, rel):
+    """The residue check's own answer on two words one of which is a short
+    power, whatever the walk would have found first: (d, least witness)."""
+    bits = {x: 1 << i for i, x in enumerate(sorted(rel.alphabet))}
+    plan = compare._short_power(compare._View(p1, bits), compare._View(p2, bits))
+    bad = {(x, y) for x in rel.alphabet for y in rel.alphabet if not rel.holds(x, y)}
+    return plan[0], compare._residue_witness(*plan, bad)
+
+
+class TestResidues:
+    """A side that is a power of a short base is decided by residues."""
+
+    def power_pairs(self, rel, rng):
+        """(p1, p2, witness) over rel's alphabet: one side the power base^k,
+        the other a power of a pattern of another length related to it,
+        except that one copy may hold the one violation, planted at position
+        0, at the last position or inside a later copy."""
+        alphabet = "".join(sorted(rel.alphabet))
+        lengths = [1, 2, 3, 6, 7, 12, 40, 60, 64, 65, 120, 130, 195]
+        for i in range(160):
+            d, e = rng.choice(lengths), rng.choice(lengths)
+            lcm = math.lcm(d, e)
+            least = -(-2 * d // lcm)  # the power has at least two copies
+            n = lcm * rng.randint(least, max(least, rng.choice([8000, 1 << 20]) // lcm))
+            base = runny_word(rng, alphabet, d)
+            on_right = i % 2 == 0  # the power is p2
+
+            def related(x, y):
+                return rel.holds(y, x) if on_right else rel.holds(x, y)
+
+            # pattern position q meets the base at the residues r = q mod gcd
+            g = math.gcd(d, e)
+            pattern = [rng.choice([y for y in alphabet
+                                   if all(related(x, y) for x in base[q % g::g])])
+                       for q in range(e)]
+            where = ["first", "last", "later", "none"][i // 2 % 4]
+            j = {"first": 0, "last": n - 1, "later": rng.randrange(d, n), "none": None}[where]
+            c, r = divmod(j or 0, e)  # the copy and the offset of the violation
+            bad = list(pattern)
+            wrong = [y for y in alphabet if not related(base[(j or 0) % d], y)]
+            if j is not None and wrong:
+                bad[r] = rng.choice(wrong)
+            else:
+                j = None
+            copy, bad = (slp.literal("".join(w), alphabet) for w in (pattern, bad))
+            other = slp.concat(slp.concat(slp.power(copy, c), bad),
+                               slp.power(copy, n // e - c - 1))
+            power = slp.power(slp.literal(base, alphabet), n // d)
+            yield ((other, power) if on_right else (power, other)), j
+
+    def subset_sum_pairs(self, rel, rng):
+        """(p1, p2, witness): Lohrey's words for random subset-sum instances,
+        mostly unsolvable, the power on either side, under images that make
+        a shared b the one kind of violation.  The walk finds them costly."""
+        left, right = ({"a": "0", "b": "1"}, {"a": "1", "b": "0"}) if rel is ZERO_LEQ_ONE \
+            else ({"a": "?", "b": "a"}, {"a": "?", "b": "b"})
+        for i in range(32):
+            weights = [rng.randint(2, 9) for _ in range(rng.randint(7, 10))]
+            inst = SubsetSumInstance(weights, rng.randint(0, sum(weights)))
+            if i % 4 and inst.solvable():
+                inst = SubsetSumInstance(weights, 1)
+            w1, w2 = reductions.gen_lohrey(inst)
+            if i % 2:  # the power on the left
+                w1, w2 = w2, w1
+            p1 = slp.substitute(w1, left, rel.alphabet)
+            p2 = slp.substitute(w2, right, rel.alphabet)
+            n = slp.length(p1)
+            yield (p1, p2), naive(slp.expand(p1, n), slp.expand(p2, n), rel)
+
+    @pytest.mark.parametrize("rel", [ZERO_LEQ_ONE, WILDCARD], ids=["order", "wildcard"])
+    def test_agrees_with_naive_oracle(self, rel):
+        rng = random.Random(59)
+        by_residues = 0
+        for (p1, p2), want in [*self.power_pairs(rel, rng), *self.subset_sum_pairs(rel, rng)]:
+            n = slp.length(p1)
+            if n <= 20_000:
+                assert naive(slp.expand(p1, n), slp.expand(p2, n), rel) == want
+            got = comp_slp(p1, p2, rel)
+            if want is None:
+                assert (got.verdict, got.checked) == (compare.HOLDS, n)
+                positions = n
+            else:
+                assert (got.verdict, got.witness, got.checked) == (compare.FAILS, want, want)
+                positions = want + 1
+            assert got.visited <= positions
+            assert comp_slp(p1, p2, rel, budget=positions) == got
+            by_residues += got.period > 0
+            # the residue check alone finds the same least witness, at 0 too
+            d, witness = residue_witness(p1, p2, rel)
+            assert witness == want and d <= 195
+        assert by_residues >= 20
+
+    @pytest.mark.parametrize("rel", [ZERO_LEQ_ONE, WILDCARD], ids=["order", "wildcard"])
+    def test_words_longer_than_two_to_the_64(self, rel):
+        rng = random.Random(60)
+        alphabet = "".join(sorted(rel.alphabet))
+        k = (1 << 64) + 3
+        for on_right in (True, False):
+            def related(x, y):
+                return rel.holds(y, x) if on_right else rel.holds(x, y)
+
+            top = next(y for y in alphabet if all(related(x, y) for x in alphabet))
+            for _ in range(10):
+                spots = []
+                while not spots:  # positions where the other side can violate
+                    base = runny_word(rng, alphabet, rng.randint(2, 90))
+                    spots = [i for i, x in enumerate(base)
+                             if not all(related(x, y) for y in alphabet)]
+                d, i = len(base), rng.choice(spots)
+                wrong = next(y for y in alphabet if not related(base[i], y))
+                lit = slp.literal(top * d, alphabet)
+                bad = slp.literal(top * i + wrong + top * (d - i - 1), alphabet)
+                j = rng.randrange(k)  # the copy holding the one violation
+                other = slp.concat(slp.concat(slp.power(lit, j), bad),
+                                   slp.power(lit, k - j - 1))
+                power = slp.power(slp.literal(base, alphabet), k)
+                res = comp_slp(*((other, power) if on_right else (power, other)), rel)
+                assert (res.verdict, res.witness, res.checked) == (
+                    compare.FAILS, j * d + i, j * d + i)
+                assert res.period in (0, d) and res.visited <= 1000
+                clean = slp.power(lit, k)
+                res = comp_slp(*((clean, power) if on_right else (power, clean)), rel)
+                assert res.holds and res.checked == k * d and res.visited <= 1000
+
+    def test_hard_instance_holds_by_residues(self):
+        p1, p2 = gen_subsetsum_to_compslp(SubsetSumInstance(HARD_WEIGHTS, HARD_TARGET))
+        res = comp_slp(p1, p2, ZERO_LEQ_ONE)
+        assert res.verdict == compare.HOLDS and res.checked == slp.length(p1)
+        # the walk alone examines 15,664 blocks
+        assert res.period == sum(HARD_WEIGHTS) + 1 and res.visited < 15_664 // 4
+        # a budget of the blocks it took suffices; budget 0 is exceeded at once
+        assert comp_slp(p1, p2, ZERO_LEQ_ONE, budget=res.visited) == res
+        assert comp_slp(p1, p2, ZERO_LEQ_ONE, budget=0).verdict == compare.BUDGET_EXCEEDED
+
+    def test_walk_first(self, monkeypatch):
+        def boom(*args):
+            raise AssertionError("residue check reached")
+
+        monkeypatch.setattr(compare, "_residue_witness", boom)
+        rng = random.Random(61)
+        base = "1" + runny_word(rng, "01", 49)
+        power = slp.power(slp.literal(base, "01"), 1 << 40)
+        n = slp.length(power)
+
+        def ones(m):
+            return slp.power(slp.literal("1", "01"), m)
+
+        for j in (0, 7, 90):
+            j = next(i for i in range(j, j + 50) if base[i % 50] == "1")
+            # all ones but a 0 at j, under a 1 of the power
+            other = slp.concat(slp.concat(ones(j), slp.literal("0", "01")), ones(n - j - 1))
+            # inside the allowance: as many blocks as the programs have symbols
+            assert j < sum(len(rhs) for p in (power, other) for rhs in p.productions.values())
+            res = comp_slp(power, other, ZERO_LEQ_ONE)
+            assert (res.verdict, res.witness, res.period) == (compare.FAILS, j, 0)
+        # without an early violation the walk does ask the check
+        p1, p2 = gen_subsetsum_to_compslp(SubsetSumInstance(HARD_WEIGHTS, HARD_TARGET))
+        with pytest.raises(AssertionError, match="residue check reached"):
+            comp_slp(p1, p2, ZERO_LEQ_ONE)

@@ -1,5 +1,6 @@
 """Decision procedures over indicator pairs."""
 
+import math
 import random
 
 import pytest
@@ -175,3 +176,101 @@ class TestInclusion:
                                budget=10_000)
         assert res.verdict == compare.FAILS and res.witness == 10_006
         assert res.visited <= 100
+
+
+def residue_pair(rng, g):
+    """Indicator pairs (x, y) whose loops have gcd g and whose periodic parts
+    hold class by class: each residue class mod g is all 0 in x's loop or
+    all 1 in y's, the other side's bits there drawn at random (a third of
+    the time one bit per class, so the loops repeat g bits).  The prefix
+    bits mostly hold too; sometimes one bit anywhere is flipped."""
+    m1 = rng.randint(1, 40)
+    m2 = rng.choice([m for m in range(1, 41) if math.gcd(m, m1) == 1])
+    free = [rng.choice("xy") for _ in range(g)]
+    per_class = rng.random() < 1 / 3
+
+    def loop(side, plen, k):
+        drawn = [rng.choice("01") if free[c] == side else "0" if side == "x" else "1"
+                 for c in range(g)]
+        return [drawn[(plen + i) % g] if per_class else
+                rng.choice("01") if free[(plen + i) % g] == side else drawn[(plen + i) % g]
+                for i in range(k)]
+
+    py = rng.randint(0, 12)
+    y_prefix, y_loop = [rng.choice("01") for _ in range(py)], loop("y", py, g * m2)
+    px = rng.randint(0, 12)
+    y_seq = (y_prefix + y_loop * px)[:px]
+    x_prefix = [b if rng.random() < 0.5 else "0" for b in y_seq]
+    x_loop = loop("x", px, g * m1)
+    if rng.random() < 0.3:
+        flip = rng.choice([x_prefix, x_loop, y_prefix, y_loop])
+        if flip:
+            i = rng.randrange(len(flip))
+            flip[i] = "1" if flip[i] == "0" else "0"
+
+    def program(word):
+        word = "".join(word)
+        if len(word) > g and word == word[:g] * (len(word) // g):
+            return slp.power(slp.literal(word[:g], "01"), len(word) // g)
+        p = slp.literal(word, "01")
+        return slp.to_cnf(p) if word and rng.random() < 0.5 else p
+
+    return (IndicatorPair(program(x_prefix), program(x_loop)),
+            IndicatorPair(program(y_prefix), program(y_loop)))
+
+
+class TestResidueInclusion:
+    """Inclusion past the prefixes compares the loops' powers, which a short
+    loop lets the comparison decide by residues."""
+
+    def test_agrees_with_the_whole_window_walk(self, monkeypatch):
+        rng = random.Random(64)
+        by_residues = only_by_residues = 0
+        for i in range(400):
+            x, y = residue_pair(rng, [1, 2, 3, 6][i % 4])
+            got = decide._pair_included(x, y, compare.DEFAULT_BUDGET)
+            with monkeypatch.context() as m:
+                m.setattr(compare, "PERIOD_CAP", 0)  # one walk over P + lcm
+                walked = decide._pair_included(x, y, compare.DEFAULT_BUDGET)
+            assert walked.period == 0
+            assert (got.verdict, got.witness, got.checked) == (
+                walked.verdict, walked.witness, walked.checked)
+            # brute force over the expanded sequences
+            k1, k2 = slp.length(x.loop), slp.length(y.loop)
+            n = max(slp.length(x.prefix), slp.length(y.prefix)) + math.lcm(k1, k2)
+            want = next((i for i, (a, b) in enumerate(zip(x.sequence(n), y.sequence(n)))
+                         if a > b), None)
+            assert got.witness == want and got.holds == (want is None)
+            assert got.visited <= (n if want is None else want + 1)
+            by_residues += got.period > 0
+            # holds though x's loop has a 1 and y's loop a 0
+            only_by_residues += got.holds and slp.count(x.loop, "1") > 0 < slp.count(y.loop, "0")
+        assert by_residues >= 20 and only_by_residues >= 100
+
+    def test_through_machines(self, monkeypatch):
+        rng = random.Random(65)
+        for i in range(12):
+            a, b = map(indicator_to_udpda, residue_pair(rng, [1, 2, 3, 6][i % 4]))
+            got = decide.inclusion(a, b)
+            monkeypatch.setattr(compare, "PERIOD_CAP", 0)
+            walked = decide.inclusion(a, b)
+            monkeypatch.undo()
+            assert (got.verdict, got.witness, got.checked) == (
+                walked.verdict, walked.witness, walked.checked)
+
+    @pytest.mark.parametrize("p, q", [(1009, 1013), (4001, 4003), (10007, 10009)])
+    def test_long_joint_periods(self, p, q):
+        # windows of 3.07M, 48.0M and 300M positions; the walk alone takes
+        # 16.2k, 66.9k and 264k blocks
+        x, y = (IndicatorPair(bits("0"), slp.power(bits("100"), k)) for k in (p, q))
+        res = decide._pair_included(x, y, compare.DEFAULT_BUDGET)
+        assert res.holds and res.checked == 1 + 3 * p * q and res.period == 3
+        assert res.visited <= 1000
+        # a bit flipped in one copy of y's loop fails at its first meeting with x
+        flipped = IndicatorPair(bits("0"), slp.concat(slp.power(bits("100"), q - 1),
+                                                      bits("000")))
+        res = decide._pair_included(x, flipped, compare.DEFAULT_BUDGET)
+        assert res.verdict == compare.FAILS
+        # x has a 1 at every 1 + 3t; the flipped one sits at 1 + 3(q - 1) + 3 q s
+        s = next(s for s in range(p) if (3 * (q - 1) + 3 * q * s) % (3 * p) % 3 == 0)
+        assert res.witness == 1 + 3 * (q - 1) + 3 * q * s

@@ -2,11 +2,12 @@
 
 import hashlib
 import random
+import re
 
 import pytest
 
 from pdapress import intexpr
-from pdapress.errors import BoundTooLarge, ExprSyntaxError
+from pdapress.errors import BoundTooLarge, ExprSyntaxError, FormatError
 from pdapress.intexpr import (
     Const,
     Double,
@@ -183,6 +184,22 @@ class TestCfgFormat:
         for n in range(12):
             assert cfg_membership_unary(back, n) == cfg_membership_unary(g, n)
         assert intexpr.format_cfg(back) == text
+
+    @pytest.mark.parametrize("name", ["A B", "", "A#", " A", "A\tB", "A\n"])
+    def test_unwritable_nonterminal_is_a_format_error(self, name):
+        # written out, the name would not read back as one nonterminal
+        g = UnaryCfg(((name, ("a",)),), name)
+        with pytest.raises(FormatError, match="cannot be written in the .cfg format"):
+            intexpr.format_cfg(g)
+        g = UnaryCfg((("S", (name, "a")), (name, ("a",))), "S")
+        with pytest.raises(FormatError, match=re.escape(f"nonterminal {name!r} ")):
+            intexpr.format_cfg(g)
+
+    @pytest.mark.parametrize("name", ["A", "A_1", "->x", "épsilon", "a'", "N~2"])
+    def test_writable_nonterminal_round_trips(self, name):
+        g = UnaryCfg((("S", (name, name)), (name, ("a",)), (name, ())), "S")
+        back = intexpr.parse_cfg(intexpr.format_cfg(g))
+        assert back == g
 
     def test_eps_is_reserved(self):
         # written out, `S -> eps` would read back as the empty word, not a^2
