@@ -15,8 +15,8 @@ nontermination.
 
 A side that is structurally a power B^k of a short base (|B| at most
 PERIOD_CAP) is decided exactly from residue classes modulo |B| once the
-walk has spent what that check costs: work pseudo-polynomial in the period,
-with no dependence on k.
+walk has examined as many blocks as both programs have symbols: work
+pseudo-polynomial in the period, with no dependence on k.
 """
 
 from __future__ import annotations
@@ -302,18 +302,15 @@ def comp_slp(
     Residues.  Once the walk has examined as many blocks as both programs
     have symbols without an answer, it looks once for a side that is
     structurally a power B^k, k >= 2, of a base of d <= PERIOD_CAP symbols
-    (the shorter base if both are).  If there is one, the walk goes on for
-    up to the residue check's own cost, size * ceil(d / 64) blocks with
-    size the symbols of the other side's program, and then the check
-    decides: per
-    nonterminal of the other side and per symbol x that can violate, a
+    (the shorter base if both are).  If there is one, the check decides:
+    per nonterminal of the other side and per symbol x that can violate, a
     d-bit mask of the residues mod d where x occurs, tested against the
     residues where B holds a symbol x is not related to; a hit leads one
     left-first descent to the least witness.  The decision counts as one
     more block.  The walk's blocks cover at most the positions it checked
     clean, which are fewer than the answer needs, so the accounting above
-    still holds; and an early violation never pays for the masks.  The
-    result's period is then d.
+    still holds; and a violation within the first blocks never pays for
+    the masks.  The result's period is then d.
     """
     if budget < 0:
         raise BadRange(f"budget {format_int(budget)} is negative")
@@ -334,23 +331,17 @@ def comp_slp(
     st1, st2 = [p1.axiom], [p2.axiom]
     off1 = off2 = pos = visited = 0
     clean = set()
-    # the walk's allowance before it looks for a short power, and whether it looked
-    stop, looked = min(budget, g1.size + g2.size), False
+    stop = min(budget, g1.size + g2.size)  # the walk's blocks before it looks for a short power
     while pos < n:
         if visited >= stop:
             if visited >= budget:
                 return CheckResult(BUDGET_EXCEEDED, None, visited, pos)
-            if looked:
-                witness = _residue_witness(*plan, bad)
+            plan, stop = _short_power(g1, g2), budget
+            if plan is not None:
+                d, witness = plan[0], _residue_witness(*plan, bad)
                 if witness is None:
                     return CheckResult(HOLDS, None, visited + 1, n, d)
                 return CheckResult(FAILS, witness, visited + 1, witness, d)
-            plan, looked = _short_power(g1, g2), True
-            if plan is None:
-                stop = budget
-            else:  # the masks cost ceil(d / 64) word operations per symbol of the other side
-                d, _, _, other, _ = plan
-                stop = min(budget, visited + other.size * -(-d // 64))
             continue
         a, b = st1[-1], st2[-1]
         l1, l2 = lens1[a], lens2[b]

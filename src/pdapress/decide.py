@@ -8,16 +8,17 @@ is the longer prefix and k1, k2 the loop lengths.  Inclusion is the
 componentwise comparison of the first P + lcm(k1, k2) characters, one full
 joint period, so it inherits that check's explicit work budget of aligned
 blocks examined (the problem is coNP-complete and a blow-up cannot be ruled
-out).  When a loop is short, the joint period is compared as a power of
-each loop, which the comparison decides from residues modulo the shorter
-loop: pseudo-polynomial in that length, whatever the lcm.
+out).  The joint period is compared as a power of each loop, which the
+comparison decides from residues modulo the shorter loop when that loop
+(or a base it is a power of) is short: pseudo-polynomial in that length,
+whatever the lcm.
 """
 
 from __future__ import annotations
 
 import math
 
-from . import compare, slp
+from . import slp
 from .compare import DEFAULT_BUDGET, ZERO_LEQ_ONE, CheckResult, comp_slp
 from .errors import BadRange, format_int
 from .slp import Slp
@@ -94,8 +95,6 @@ def _pair_included(x: IndicatorPair, y: IndicatorPair, budget: int) -> CheckResu
     """Whether x's sequence is below y's at every position (see inclusion)."""
     k1, k2 = slp.length(x.loop), slp.length(y.loop)
     p, span = max(slp.length(x.prefix), slp.length(y.prefix)), math.lcm(k1, k2)
-    if min(k1, k2) > compare.PERIOD_CAP:
-        return comp_slp(x.window(p + span), y.window(p + span), ZERO_LEQ_ONE, budget)
     head = comp_slp(x.window(p), y.window(p), ZERO_LEQ_ONE, budget)
     if not head.holds:
         return head
@@ -113,15 +112,15 @@ def inclusion(a1: Machine, a2: Machine, budget: int = DEFAULT_BUDGET) -> CheckRe
     Both characteristic sequences are determined by the positions below the
     longer prefix, P, plus the residue modulo the loop lengths, so comparing
     the first P + lcm(|loops|) positions under the order 0 <= 1 is complete.
-    When a loop has at most compare.PERIOD_CAP characters, that is two
-    comparisons: the windows [0, P), then [P, P + lcm) as the two loops
-    rotated to P and raised to lcm / |loop| copies each, which the
-    comparison can decide from residues modulo the shorter loop.  Otherwise
-    one comparison walks the whole window.  Either way the comparison walks
-    aligned blocks, so long runs of rejected lengths on the left or accepted
-    lengths on the right cost one block each; `budget` bounds the blocks
-    examined over both parts, never more than positions.  With long loops
-    the lcm may be exponential in the machine sizes and the blocks may be
-    too; running out of budget is then the honest answer.
+    That is two comparisons: the windows [0, P), then [P, P + lcm) as the
+    two loops rotated to P and raised to lcm / |loop| copies each, which
+    the comparison can decide from residues modulo the shorter loop when
+    that loop, or a base it is a power of, has at most compare.PERIOD_CAP
+    characters.  The comparison walks aligned blocks, so long runs of
+    rejected lengths on the left or accepted lengths on the right cost one
+    block each; `budget` bounds the blocks examined over both parts, never
+    more than positions.  With long loops the lcm may be exponential in the
+    machine sizes and the blocks may be too; running out of budget is then
+    the honest answer.
     """
     return _pair_included(udpda_to_indicator(a1), udpda_to_indicator(a2), budget)

@@ -229,15 +229,15 @@ class TestResidueInclusion:
         for i in range(400):
             x, y = residue_pair(rng, [1, 2, 3, 6][i % 4])
             got = decide._pair_included(x, y, compare.DEFAULT_BUDGET)
+            k1, k2 = slp.length(x.loop), slp.length(y.loop)
+            n = max(slp.length(x.prefix), slp.length(y.prefix)) + math.lcm(k1, k2)
             with monkeypatch.context() as m:
                 m.setattr(compare, "PERIOD_CAP", 0)  # one walk over P + lcm
-                walked = decide._pair_included(x, y, compare.DEFAULT_BUDGET)
+                walked = compare.comp_slp(x.window(n), y.window(n), compare.ZERO_LEQ_ONE)
             assert walked.period == 0
             assert (got.verdict, got.witness, got.checked) == (
                 walked.verdict, walked.witness, walked.checked)
             # brute force over the expanded sequences
-            k1, k2 = slp.length(x.loop), slp.length(y.loop)
-            n = max(slp.length(x.prefix), slp.length(y.prefix)) + math.lcm(k1, k2)
             want = next((i for i, (a, b) in enumerate(zip(x.sequence(n), y.sequence(n)))
                          if a > b), None)
             assert got.witness == want and got.holds == (want is None)
@@ -258,10 +258,12 @@ class TestResidueInclusion:
             assert (got.verdict, got.witness, got.checked) == (
                 walked.verdict, walked.witness, walked.checked)
 
-    @pytest.mark.parametrize("p, q", [(1009, 1013), (4001, 4003), (10007, 10009)])
+    @pytest.mark.parametrize("p, q", [(1009, 1013), (4001, 4003), (10007, 10009),
+                                      (30011, 30013)])
     def test_long_joint_periods(self, p, q):
         # windows of 3.07M, 48.0M and 300M positions; the walk alone takes
-        # 16.2k, 66.9k and 264k blocks
+        # 16.2k, 66.9k and 264k blocks.  The last loops are longer than
+        # PERIOD_CAP but powers of a base of 3.
         x, y = (IndicatorPair(bits("0"), slp.power(bits("100"), k)) for k in (p, q))
         res = decide._pair_included(x, y, compare.DEFAULT_BUDGET)
         assert res.holds and res.checked == 1 + 3 * p * q and res.period == 3
