@@ -8,10 +8,9 @@ is the longer prefix and k1, k2 the loop lengths.  Inclusion is the
 componentwise comparison of the first P + lcm(k1, k2) characters, one full
 joint period, so it inherits that check's explicit work budget of aligned
 blocks examined (the problem is coNP-complete and a blow-up cannot be ruled
-out).  The joint period is compared as a power of each loop, which the
-comparison decides from residues modulo the shorter loop when that loop
-(or a base it is a power of) is short: pseudo-polynomial in that length,
-whatever the lcm.
+out).  Cut from P on, each side of the joint period is a power of its
+rotated loop, which the comparison decides from residues modulo the shorter
+loop (or a base it is a power of) when that is short, whatever the lcm.
 """
 
 from __future__ import annotations
@@ -82,15 +81,6 @@ def equivalence(a1: Machine, a2: Machine) -> bool:
     return _pair_equal(udpda_to_indicator(a1), udpda_to_indicator(a2))
 
 
-def _joint_period(pair: IndicatorPair, start: int, span: int) -> Slp:
-    """Program for characters [start, start + span) of prefix.loop^omega,
-    for start at least |prefix| and span a multiple of |loop|: the loop
-    rotated to start, raised to span / |loop|."""
-    k = slp.length(pair.loop)
-    loop = slp.cyclic_shift(pair.loop, (start - slp.length(pair.prefix)) % k)
-    return slp.power(loop, span // k)
-
-
 def _pair_included(x: IndicatorPair, y: IndicatorPair, budget: int) -> CheckResult:
     """Whether x's sequence is below y's at every position (see inclusion)."""
     k1, k2 = slp.length(x.loop), slp.length(y.loop)
@@ -98,8 +88,7 @@ def _pair_included(x: IndicatorPair, y: IndicatorPair, budget: int) -> CheckResu
     head = comp_slp(x.window(p), y.window(p), ZERO_LEQ_ONE, budget)
     if not head.holds:
         return head
-    tail = comp_slp(_joint_period(x, p, span), _joint_period(y, p, span), ZERO_LEQ_ONE,
-                    budget - head.visited)
+    tail = comp_slp(x.window(span, p), y.window(span, p), ZERO_LEQ_ONE, budget - head.visited)
     return CheckResult(tail.verdict, None if tail.witness is None else p + tail.witness,
                        head.visited + tail.visited, p + tail.checked,
                        tail.period or head.period)
@@ -112,8 +101,8 @@ def inclusion(a1: Machine, a2: Machine, budget: int = DEFAULT_BUDGET) -> CheckRe
     Both characteristic sequences are determined by the positions below the
     longer prefix, P, plus the residue modulo the loop lengths, so comparing
     the first P + lcm(|loops|) positions under the order 0 <= 1 is complete.
-    That is two comparisons: the windows [0, P), then [P, P + lcm) as the
-    two loops rotated to P and raised to lcm / |loop| copies each, which
+    That is two comparisons: the windows [0, P), then [P, P + lcm), where
+    each window is its loop rotated to P and raised to lcm / |loop|, which
     the comparison can decide from residues modulo the shorter loop when
     that loop, or a base it is a power of, has at most compare.PERIOD_CAP
     characters.  The comparison walks aligned blocks, so long runs of

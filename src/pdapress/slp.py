@@ -525,12 +525,13 @@ def parse_slp(text: str) -> Slp:
 
     First content line is `alphabet: <chars>`; each further line is
     `N -> tok tok ...` with `eps` denoting the empty right-hand side.
-    `#` starts a comment.  The first production's left-hand side is the axiom.
+    `#` starts a comment.  The first production's left-hand side is the axiom,
+    and a nonterminal with a second production is a FormatError.
     A program that breaks an invariant of :func:`validate` (a missing
     production, a cycle, ...) is a FormatError too.
     """
     alphabet: frozenset[str] | None = None
-    productions: list[tuple[str, tuple[str, ...]]] = []
+    productions: dict[str, tuple[str, ...]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -546,14 +547,14 @@ def parse_slp(text: str) -> Slp:
         parts = line.split()
         if len(parts) < 3 or parts[1] != "->":
             raise FormatError(f"line {lineno}: expected 'N -> tok ...'")
-        name = parts[0]
-        rhs = () if parts[2:] == ["eps"] else tuple(parts[2:])
-        productions.append((name, rhs))
+        if parts[0] in productions:
+            raise FormatError(f"line {lineno}: second production for {parts[0]}")
+        productions[parts[0]] = () if parts[2:] == ["eps"] else tuple(parts[2:])
     if alphabet is None:
         raise FormatError("missing 'alphabet:' header")
     if not productions:
         raise FormatError("no productions")
-    p = Slp(alphabet, productions, productions[0][0])
+    p = Slp(alphabet, productions, next(iter(productions)))
     problem = validate(p)
     if problem is not None:
         raise FormatError(problem)

@@ -43,6 +43,27 @@ def _widen(p: Slp, alphabet: frozenset[str]) -> Slp:
     return st.build(_import(st, p))
 
 
+def _cut(st: slp._Store, pre: str, loop: str | None, n: int, start: int) -> str:
+    """Name for characters [start, start + n) of pre.loop^omega in a store:
+    what is left of pre, then q copies of the loop and its first r
+    characters, empty parts left out (loop may be None if the cut ends in
+    pre).  Past pre the loop is first rotated to start, so a cut of q whole
+    copies is structurally a power of the rotated loop."""
+    plen = st.sym_length(pre)
+    if start + n <= plen:
+        return slp._take_sym(st, slp._drop_sym(st, pre, start), n)
+    parts = [slp._drop_sym(st, pre, start)] if start < plen else []
+    s = max(start - plen, 0) % st.sym_length(loop)
+    if s:
+        loop = st.add((slp._drop_sym(st, loop, s), slp._take_sym(st, loop, s)))
+    q, r = divmod(start + n - max(start, plen), st.sym_length(loop))
+    if q:
+        parts.append(slp._pow_sym(st, loop, q))
+    if r:
+        parts.append(slp._take_sym(st, loop, r))
+    return st.add(parts)
+
+
 @dataclass(frozen=True)
 class _Pair:
     """Programs for the prefix and the loop of an eventually periodic word;
@@ -60,26 +81,15 @@ class _Pair:
         if slp.length(self.loop) == 0:
             raise MalformedPair(f"{self.KIND} pair needs a nonempty loop")
 
-    def window(self, n: int) -> Slp:
-        """Program for the first n characters of prefix.loop^omega: the
-        prefix cut at n, or the prefix, loop^q and the first r characters
-        of the loop, where q, r = divmod(n - |prefix|, |loop|); empty parts
-        are left out."""
-        if n < 0:
-            raise BadRange(f"window of negative length {format_int(n)}")
+    def window(self, n: int, start: int = 0) -> Slp:
+        """Program for characters [start, start + n) of prefix.loop^omega;
+        the loop is imported only when the cut reaches past the prefix."""
+        if min(n, start) < 0:
+            raise BadRange(f"negative window: length {format_int(n)}, start {format_int(start)}")
         st = slp._Store(self.ALPHABET)
         pre = st.imp(self.prefix)
-        plen = st.sym_length(pre)
-        if n <= plen:
-            return st.build(slp._take_sym(st, pre, n))
-        loop = st.imp(self.loop)
-        q, r = divmod(n - plen, st.sym_length(loop))
-        parts = [pre] if plen else []
-        if q:
-            parts.append(slp._pow_sym(st, loop, q))
-        if r:
-            parts.append(slp._take_sym(st, loop, r))
-        return st.build(st.add(parts))
+        loop = st.imp(self.loop) if start + n > st.sym_length(pre) else None
+        return st.build(_cut(st, pre, loop, n, start))
 
     def sequence(self, n: int) -> str:
         """First n characters of prefix.loop^omega."""
@@ -231,14 +241,14 @@ def indicator_to_udpda(ip: IndicatorPair) -> NormalUdpda:
     """Machine for the language whose characteristic sequence the pair generates.
 
     The first bit is split off and carried by a fresh initial state; the
-    machines for the rest of the prefix and for the loop are chained with
-    input-free edges, with the loop machine's exit wired back to its entry.
+    machines for the rest of the first period (prefix, else loop) and for the
+    loop are chained by input-free edges, the loop's exit wired to its entry.
     """
     head = ip.prefix if slp.length(ip.prefix) else ip.loop
     b = slp.query(head, 0) == "1"
     st = slp._Store(BIT_ALPHABET)
     loop = st.imp(ip.loop)
-    tail = slp._drop_sym(st, st.imp(head), 1)
+    tail = _cut(st, st.imp(ip.prefix), loop, slp.length(head) - 1, 1)
 
     g = _Gadgets()
     loop_entry, loop_exit = _slp_machine(g, st, loop, "l")

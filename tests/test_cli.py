@@ -408,6 +408,12 @@ class TestCheckOutputs:
         code, out, err = run(capsys, "slp", "compare", bad, files / "p101.slp")
         assert code == 2 and out == "" and problem in err
 
+    def test_repeated_left_hand_side_exit_2(self, capsys, tmp_path):
+        bad = tmp_path / "twice.slp"
+        bad.write_text("alphabet: 01\nS -> 0\nS -> 1 1\n")
+        code, out, err = run(capsys, "slp", "len", bad)
+        assert code == 2 and out == "" and "line 3: second production for S" in err
+
 
 # 3,000 nested parentheses around a constant, each closed by an operator
 NESTED = "(" * 3000 + "1" + "".join((")|1", ")+1", ")*", ")+2")[i % 4] for i in range(3000))

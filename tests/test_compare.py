@@ -350,6 +350,15 @@ class TestCleanMemo:
         assert res.verdict == compare.HOLDS and res.checked == slp.length(p1)
         assert 10_000 < res.visited <= 50_000
 
+    def test_memo_under_default_settings(self):
+        # the weight 70,000 makes the second word a power of a base of
+        # 70,103 symbols, over PERIOD_CAP, so the walk decides alone; without
+        # the memo it takes about 389k blocks
+        inst = SubsetSumInstance(HARD_WEIGHTS + (70_000,), HARD_TARGET)
+        p1, p2 = gen_subsetsum_to_compslp(inst)
+        res = comp_slp(p1, p2, ZERO_LEQ_ONE)
+        assert res.holds and res.period == 0 and res.visited <= 50_000
+
     @pytest.mark.parametrize("cap", [0, 4])
     def test_capped_memo(self, cap, monkeypatch, clean_sizes):
         monkeypatch.setattr(compare, "PERIOD_CAP", 0)  # the walk decides every pair

@@ -326,6 +326,12 @@ class TestFormat:
         with pytest.raises(FormatError):
             slp.parse_slp("alphabet: 01\n")
 
+    def test_repeated_left_hand_side(self):
+        # one production per nonterminal: a second one is an error, not an override
+        with pytest.raises(FormatError) as err:
+            slp.parse_slp("alphabet: 01\nS -> 0\n# S again\nS -> 1 1\n")
+        assert str(err.value) == "line 4: second production for S"
+
     @pytest.mark.parametrize("alphabet, productions, name", [
         ("#0", {"S": ("#", "0")}, "alphabet symbol '#'"),
         (" 0", {"S": ("0",)}, "alphabet symbol ' '"),

@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from pdapress import slp, translate, udpda
-from pdapress.errors import EmptyWord, MalformedPair, NotDeterministic
+from pdapress import compare, slp, translate, udpda
+from pdapress.errors import BadRange, EmptyWord, MalformedPair, NotDeterministic
 from pdapress.slp import Slp
 from pdapress.translate import (
     HALT_STATE,
@@ -480,6 +480,38 @@ class TestWindow:
             assert "eps" not in slp.format_slp(pair.window(n))
         assert slp.format_slp(pair.window(0)) == "alphabet: 01\nN0 -> eps\n"
 
+    def test_cut_from_any_start(self):
+        rng = random.Random(50)
+        for trial in range(80):
+            prefix = random_slp(rng, max_len=12) if trial % 4 else bits("")
+            loop = random_slp(rng, min_len=1, max_len=9)
+            pair = IndicatorPair(prefix, loop)
+            plen, k = slp.length(prefix), slp.length(loop)
+            # inside the prefix, at its end, and past it by less and more than a loop
+            starts = {0, plen // 2, plen, plen + 1, plen + k - 1, plen + 3 * k + 2}
+            for start in starts:
+                for n in {0, 1, k, 2 * k, 5 * k, plen + k + 3}:
+                    w = pair.window(n, start)
+                    want = pair.sequence(start + n)[start:]
+                    assert slp.expand(w, n) == want, (trial, start, n)
+
+    def test_negative_cut_is_refused(self):
+        pair = IndicatorPair(bits("110"), bits("01"))
+        for n, start in ((-1, 0), (0, -1), (3, -2)):
+            with pytest.raises(BadRange):
+                pair.window(n, start)
+
+    def test_cut_past_the_prefix_is_a_power_of_the_rotated_loop(self):
+        rng = random.Random(51)
+        for _ in range(60):
+            prefix, loop = random_slp(rng, max_len=12), random_slp(rng, min_len=1, max_len=40)
+            pair = IndicatorPair(prefix, loop)
+            plen, k = slp.length(pair.prefix), slp.length(pair.loop)
+            start, copies = plen + rng.randint(0, 3 * k), rng.randint(2, 9)
+            view = compare._View(pair.window(copies * k, start), {"0": 1, "1": 2})
+            base = compare._power_base(view)
+            assert base is not None and k % view.lens[base] == 0
+
 
 class TestPairFormat:
     def test_indicator_round_trip(self):
@@ -509,6 +541,12 @@ class TestPairFormat:
         object.__setattr__(tp, "loop", ip.loop)
         assert ip != tp and tp != ip
         assert ip == IndicatorPair(bits("1"), bits("01"))
+
+    def test_repeated_left_hand_side_in_a_block(self):
+        from pdapress.errors import FormatError
+        text = "kind: indicator\nalphabet: 01\nS -> 1\n---\nalphabet: 01\nL -> 0\nL -> 1\n"
+        with pytest.raises(FormatError, match="second production for L"):
+            translate.parse_pair(text)
 
     def test_bad_header(self):
         from pdapress.errors import FormatError
