@@ -112,20 +112,22 @@ class _View:
 
     Keys are nonterminal names, terminals, and ints naming chunks of at
     most BLOCK consecutive terminals of one right-hand side, so that a wide
-    literal production is walked a chunk, not a position, at a time.
+    literal production is walked a chunk, not a position, at a time.  Only
+    the symbols reachable from the axiom are looked at.
     """
 
     def __init__(self, p: Slp, bits: dict[str, int]):
         self.prods = p.productions
         self.alphabet = p.alphabet
         self.axiom = p.axiom
-        self.lens = lens = {**slp._all_lengths(p), **dict.fromkeys(p.alphabet, 1)}
+        self.lens = lens = dict.fromkeys(p.alphabet, 1)
         self.masks = {t: bits[t] for t in p.alphabet}
         self.texts = {t: t for t in p.alphabet}
         self.order = slp._toposort(p, [p.axiom])
         self.size = 0  # symbols on the reachable right-hand sides
         for name in self.order:
             rhs = self.prods[name]
+            lens[name] = sum(map(lens.__getitem__, rhs))
             self.size += len(rhs)
             self.masks[name] = self._mask(rhs)
             if lens[name] <= BLOCK:
@@ -283,8 +285,8 @@ def comp_slp(
 
     (a) every symbol of the left block is related to every symbol: skip it;
     (b) every symbol is related to every symbol of the right block: skip it;
-    (c) equal programs, same top symbol at the same offset: skip it, since
-        the relation is reflexive;
+    (c) programs equal up to names, same top symbol at the same offset:
+        skip it, since the relation is reflexive;
     (d) both blocks at most BLOCK long: compare their expansions;
     (e) the same two tops at the same offsets were split before and walked
         clean: skip the shorter remainder, since it spells the same
@@ -324,11 +326,15 @@ def comp_slp(
            if not relation.holds(x, y)}
     bad1 = sum(bits[x] for x in {x for x, _ in bad})
     bad2 = sum(bits[y] for y in {y for _, y in bad})
-    g1 = _View(p1, bits)
-    g2 = g1 if p1 == p2 else _View(p2, bits)
-    same = g1 is g2
+    g1, g2 = _View(p1, bits), _View(p2, bits)
+    # programs equal up to names, whose children-first orders then
+    # correspond, are one program: walk it against itself
+    name = dict(zip(g1.order, g2.order))
+    same = len(g1.order) == len(g2.order) and g1.alphabet == g2.alphabet and all(
+        tuple(name.get(s, s) for s in g1.prods[a]) == g2.prods[b] for a, b in name.items())
+    g2 = g1 if same else g2
     lens1, masks1, lens2, masks2 = g1.lens, g1.masks, g2.lens, g2.masks
-    st1, st2 = [p1.axiom], [p2.axiom]
+    st1, st2 = [g1.axiom], [g2.axiom]
     off1 = off2 = pos = visited = 0
     clean = set()
     stop = min(budget, g1.size + g2.size)  # the walk's blocks before it looks for a short power

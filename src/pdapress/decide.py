@@ -2,15 +2,10 @@
 
 Membership, emptiness, universality and equivalence stay polynomial; the
 words involved are only ever handled in compressed form, as windows cut
-from prefix.loop^omega by `IndicatorPair.window`.  Equivalence is one
-`slp.equal` over windows of P + k1 + k2 - gcd(k1, k2) characters, where P
-is the longer prefix and k1, k2 the loop lengths.  Inclusion is the
-componentwise comparison of the first P + lcm(k1, k2) characters, one full
-joint period, so it inherits that check's explicit work budget of aligned
-blocks examined (the problem is coNP-complete and a blow-up cannot be ruled
-out).  Cut from P on, each side of the joint period is a power of its
-rotated loop, which the comparison decides from residues modulo the shorter
-loop (or a base it is a power of) when that is short, whatever the lcm.
+from prefix.loop^omega by `IndicatorPair.word` and read where the pair's
+grammar lives, with no copy.  Equivalence is one `slp.equal` of two
+windows; inclusion is one componentwise comparison (coNP-complete), with
+that check's explicit work budget.
 """
 
 from __future__ import annotations
@@ -20,7 +15,6 @@ import math
 from . import slp
 from .compare import DEFAULT_BUDGET, ZERO_LEQ_ONE, CheckResult, comp_slp
 from .errors import BadRange, format_int
-from .slp import Slp
 from .translate import IndicatorPair, udpda_to_indicator
 from .udpda import NormalUdpda, RawUnpda
 
@@ -28,37 +22,25 @@ Machine = RawUnpda | NormalUdpda
 
 
 def compressed_membership(a: Machine, n: int) -> bool:
-    """Whether a**n is accepted, answered from the indicator pair.
-
-    Positions inside the prefix are read off directly; beyond it the answer
-    sits at (n - |prefix|) mod |loop| in the loop.  Raises BadRange if n is
-    negative.
-    """
+    """Whether a**n is accepted: character n of the indicator pair's
+    sequence, cut as a one-character window.  Raises BadRange if n is
+    negative."""
     if n < 0:
         raise BadRange(f"word length {format_int(n)} is negative")
-    pair = udpda_to_indicator(a)
-    plen = slp.length(pair.prefix)
-    if n < plen:
-        return slp.query(pair.prefix, n) == "1"
-    return slp.query(pair.loop, (n - plen) % slp.length(pair.loop)) == "1"
-
-
-def _all_of(p: Slp, bit: str) -> bool:
-    """Whether the generated word is bit repeated length-many times; exact,
-    by counting the other bit."""
-    return slp.count(p, "1" if bit == "0" else "0") == 0
+    return slp.query(udpda_to_indicator(a).word(1, n), 0) == "1"
 
 
 def emptiness(a: Machine) -> bool:
-    """Whether the language is empty: both components generate all-zero words."""
+    """Whether the language is empty: prefix.loop, after which the sequence
+    repeats, has no 1 (exact, by counting)."""
     pair = udpda_to_indicator(a)
-    return _all_of(pair.prefix, "0") and _all_of(pair.loop, "0")
+    return slp.count(pair.word(sum(pair.lengths)), "1") == 0
 
 
 def universality(a: Machine) -> bool:
-    """Whether every word is accepted: both components are all ones."""
+    """Whether every word is accepted: prefix.loop has no 0."""
     pair = udpda_to_indicator(a)
-    return _all_of(pair.prefix, "1") and _all_of(pair.loop, "1")
+    return slp.count(pair.word(sum(pair.lengths)), "0") == 0
 
 
 def _pair_equal(x: IndicatorPair, y: IndicatorPair) -> bool:
@@ -71,9 +53,9 @@ def _pair_equal(x: IndicatorPair, y: IndicatorPair) -> bool:
     repeat the same g characters and the sequences agree everywhere.  One
     comparison of the two windows of length N is therefore complete.
     """
-    k1, k2 = slp.length(x.loop), slp.length(y.loop)
-    n = max(slp.length(x.prefix), slp.length(y.prefix)) + k1 + k2 - math.gcd(k1, k2)
-    return slp.equal(x.window(n), y.window(n))
+    (p1, k1), (p2, k2) = x.lengths, y.lengths
+    n = max(p1, p2) + k1 + k2 - math.gcd(k1, k2)
+    return slp.equal(x.word(n), y.word(n))
 
 
 def equivalence(a1: Machine, a2: Machine) -> bool:
@@ -83,12 +65,12 @@ def equivalence(a1: Machine, a2: Machine) -> bool:
 
 def _pair_included(x: IndicatorPair, y: IndicatorPair, budget: int) -> CheckResult:
     """Whether x's sequence is below y's at every position (see inclusion)."""
-    k1, k2 = slp.length(x.loop), slp.length(y.loop)
-    p, span = max(slp.length(x.prefix), slp.length(y.prefix)), math.lcm(k1, k2)
-    head = comp_slp(x.window(p), y.window(p), ZERO_LEQ_ONE, budget)
+    (p1, k1), (p2, k2) = x.lengths, y.lengths
+    p, span = max(p1, p2), math.lcm(k1, k2)
+    head = comp_slp(x.word(p), y.word(p), ZERO_LEQ_ONE, budget)
     if not head.holds:
         return head
-    tail = comp_slp(x.window(span, p), y.window(span, p), ZERO_LEQ_ONE, budget - head.visited)
+    tail = comp_slp(x.word(span, p), y.word(span, p), ZERO_LEQ_ONE, budget - head.visited)
     return CheckResult(tail.verdict, None if tail.witness is None else p + tail.witness,
                        head.visited + tail.visited, p + tail.checked,
                        tail.period or head.period)

@@ -260,31 +260,35 @@ class _Store:
             mapping[name] = self.add(parts)
         return mapping[p.axiom]
 
-    def build(self, axiom_sym: str) -> Slp:
-        """Extract the grammar reachable from axiom_sym as a canonical Slp.
-
-        Productions are renamed N0, N1, ... in first-visit order with the
-        axiom first, so equal builds give byte-identical programs.  The
-        program starts with the lengths the store already knows.
-        """
+    def canonical(self, axiom_sym: str) -> tuple[dict[str, tuple[str, ...]], dict[str, int]]:
+        """Productions and lengths of the grammar reachable from axiom_sym,
+        renamed N0, N1, ... in first-visit order with the axiom first."""
         if axiom_sym in self.alphabet:
             axiom_sym = self.add((axiom_sym,))
         names = {axiom_sym: "N0"}
-        order = [axiom_sym]
         queue = [axiom_sym]
         while queue:
-            cur = queue.pop()
-            for s in self.productions[cur]:
+            for s in self.productions[queue.pop()]:
                 if s not in self.alphabet and s not in names:
                     names[s] = f"N{len(names)}"
-                    order.append(s)
                     queue.append(s)
-        prods = {
-            names[n]: tuple(s if s in self.alphabet else names[s] for s in self.productions[n])
-            for n in order
-        }
-        p = Slp(self.alphabet, prods, "N0")
-        p._len_cache = {names[n]: self.lengths[n] for n in order}
+        prods = {new: tuple(names.get(s, s) for s in self.productions[old])
+                 for old, new in names.items()}
+        return prods, {new: self.lengths[old] for old, new in names.items()}
+
+    def build(self, axiom_sym: str) -> Slp:
+        """The grammar reachable from axiom_sym as a canonical Slp: equal
+        builds give byte-identical programs, with the store's lengths."""
+        p = Slp(self.alphabet, (), "N0")
+        p.productions, p._len_cache = self.canonical(axiom_sym)
+        return p
+
+    def word(self, sym: str) -> Slp:
+        """sym's word as a program that shares this store's productions and
+        lengths, with no copy: for readers that walk from the axiom, never
+        for output (its names are the store's, and the store may grow)."""
+        p = Slp(self.alphabet, (), self.add((sym,)) if sym in self.alphabet else sym)
+        p.productions, p._len_cache = self.productions, self.lengths
         return p
 
 
@@ -520,7 +524,7 @@ def equal(p1: Slp, p2: Slp, *, exact_threshold: int = 4096, seed: int = 0) -> bo
     return _fingerprint(p1, digits, r, mod) == _fingerprint(p2, digits, r, mod)
 
 
-def parse_slp(text: str) -> Slp:
+def parse_slp(text: str, first_line: int = 1) -> Slp:
     """Parse the .slp text format.
 
     First content line is `alphabet: <chars>`; each further line is
@@ -528,11 +532,11 @@ def parse_slp(text: str) -> Slp:
     `#` starts a comment.  The first production's left-hand side is the axiom,
     and a nonterminal with a second production is a FormatError.
     A program that breaks an invariant of :func:`validate` (a missing
-    production, a cycle, ...) is a FormatError too.
+    production, a cycle, ...) is a FormatError too.  Lines count from first_line.
     """
     alphabet: frozenset[str] | None = None
     productions: dict[str, tuple[str, ...]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=first_line):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

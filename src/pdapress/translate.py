@@ -14,7 +14,7 @@ pair over {0, 1}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cached_property
 from typing import ClassVar
 
 from . import slp
@@ -35,20 +35,14 @@ def _import(st: slp._Store, p: Slp) -> str:
     return st.imp(p)
 
 
-def _widen(p: Slp, alphabet: frozenset[str]) -> Slp:
-    """The same word over a possibly larger alphabet."""
-    if p.alphabet == alphabet:
-        return p
-    st = slp._Store(alphabet)
-    return st.build(_import(st, p))
-
-
-def _cut(st: slp._Store, pre: str, loop: str | None, n: int, start: int) -> str:
+def _cut(st: slp._Store, pre: str, loop: str, n: int, start: int) -> str:
     """Name for characters [start, start + n) of pre.loop^omega in a store:
     what is left of pre, then q copies of the loop and its first r
-    characters, empty parts left out (loop may be None if the cut ends in
-    pre).  Past pre the loop is first rotated to start, so a cut of q whole
-    copies is structurally a power of the rotated loop."""
+    characters, empty parts left out.  Past pre the loop is first rotated
+    to start, so a cut of q whole copies is structurally a power of the
+    rotated loop."""
+    if min(n, start) < 0:
+        raise BadRange(f"negative window: length {format_int(n)}, start {format_int(start)}")
     plen = st.sym_length(pre)
     if start + n <= plen:
         return slp._take_sym(st, slp._drop_sym(st, pre, start), n)
@@ -64,40 +58,63 @@ def _cut(st: slp._Store, pre: str, loop: str | None, n: int, start: int) -> str:
     return st.add(parts)
 
 
-@dataclass(frozen=True)
 class _Pair:
-    """Programs for the prefix and the loop of an eventually periodic word;
-    subclasses fix its alphabet and its kind in the pair file format."""
+    """The prefix and the loop of an eventually periodic word: two names in
+    the pair's own grammar store, where windows are cut and read.  Only
+    `prefix`, `loop`, `window` and equality build canonical programs.
+    Subclasses fix the alphabet and the kind in the pair file format."""
 
     KIND: ClassVar[str]
     ALPHABET: ClassVar[frozenset[str]]
 
-    prefix: Slp
-    loop: Slp
-
-    def __post_init__(self):
-        object.__setattr__(self, "prefix", _widen(self.prefix, self.ALPHABET))
-        object.__setattr__(self, "loop", _widen(self.loop, self.ALPHABET))
-        if slp.length(self.loop) == 0:
+    def __init__(self, prefix: Slp, loop: Slp):
+        st = slp._Store(self.ALPHABET)
+        self._st, self._pre, self._loop = st, _import(st, prefix), _import(st, loop)
+        if not st.sym_length(self._loop):
             raise MalformedPair(f"{self.KIND} pair needs a nonempty loop")
 
+    @classmethod
+    def _of(cls, st: slp._Store, pre: str, loop: str):
+        """The pair of names (a nonempty loop) a pipeline stage hands over."""
+        pair = cls.__new__(cls)
+        pair._st, pair._pre, pair._loop = st, pre, loop
+        return pair
+
+    @cached_property
+    def prefix(self) -> Slp:
+        return self._st.build(self._pre)
+
+    @cached_property
+    def loop(self) -> Slp:
+        return self._st.build(self._loop)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.prefix, self.loop) == (other.prefix, other.loop)
+
+    def __hash__(self):
+        return hash((self.prefix, self.loop))
+
+    @property
+    def lengths(self) -> tuple[int, int]:
+        return self._st.sym_length(self._pre), self._st.sym_length(self._loop)
+
+    def word(self, n: int, start: int = 0) -> Slp:
+        """window(n, start) read in place (slp._Store.word): never for output."""
+        return self._st.word(_cut(self._st, self._pre, self._loop, n, start))
+
     def window(self, n: int, start: int = 0) -> Slp:
-        """Program for characters [start, start + n) of prefix.loop^omega;
-        the loop is imported only when the cut reaches past the prefix."""
-        if min(n, start) < 0:
-            raise BadRange(f"negative window: length {format_int(n)}, start {format_int(start)}")
-        st = slp._Store(self.ALPHABET)
-        pre = st.imp(self.prefix)
-        loop = st.imp(self.loop) if start + n > st.sym_length(pre) else None
-        return st.build(_cut(st, pre, loop, n, start))
+        """Canonical program for characters [start, start + n) of prefix.loop^omega."""
+        return self._st.build(_cut(self._st, self._pre, self._loop, n, start))
 
     def sequence(self, n: int) -> str:
         """First n characters of prefix.loop^omega."""
-        return slp.expand(self.window(n), n)
+        return slp.expand(self.word(n), n)
 
     @property
     def size(self) -> int:
-        return slp.size(self.prefix) + slp.size(self.loop)
+        return slp.size(self._st.word(self._pre)) + slp.size(self._st.word(self._loop))
 
 
 class IndicatorPair(_Pair):
@@ -172,7 +189,7 @@ def _slp_machine(g: _Gadgets, store: slp._Store, sym: str, ns: str) -> tuple[str
     root = slp._cnf(store, sym, cnf)
     if root is None:
         raise EmptyWord("cannot build a machine for the empty word")
-    prods = _reduce_fanout(cnf.build(root).productions)
+    prods = _reduce_fanout(cnf.canonical(root)[0])
     entry = {n: f"{ns}.i.{n}" for n in prods}
     exit_ = {n: f"{ns}.o.{n}" for n in prods}
     seen: dict[str, int] = {}
@@ -244,11 +261,8 @@ def indicator_to_udpda(ip: IndicatorPair) -> NormalUdpda:
     machines for the rest of the first period (prefix, else loop) and for the
     loop are chained by input-free edges, the loop's exit wired to its entry.
     """
-    head = ip.prefix if slp.length(ip.prefix) else ip.loop
-    b = slp.query(head, 0) == "1"
-    st = slp._Store(BIT_ALPHABET)
-    loop = st.imp(ip.loop)
-    tail = _cut(st, st.imp(ip.prefix), loop, slp.length(head) - 1, 1)
+    (plen, k), st, loop = ip.lengths, ip._st, ip._loop
+    tail = _cut(st, ip._pre, loop, (plen or k) - 1, 1)
 
     g = _Gadgets()
     loop_entry, loop_exit = _slp_machine(g, st, loop, "l")
@@ -258,7 +272,7 @@ def indicator_to_udpda(ip: IndicatorPair) -> NormalUdpda:
         entry, tail_exit = _slp_machine(g, st, tail, "p")
         g.internal[tail_exit] = loop_entry
     g.internal["start"] = entry
-    if b:
+    if ip.sequence(1) == "1":
         g.finals.add("start")
     return _assemble(g, "start")
 
@@ -422,14 +436,12 @@ class TranscriptWorkspace:
         return st.add(segs[: index[q]]), st.add(segs[index[q]:])
 
     def transcript(self) -> TranscriptPair:
-        """Build the transcript pair, resolving only the states the bottom
-        chain needs."""
-        pre_name, loop_name = self.bottom_stage()
-        prefix = self.store.build(pre_name)
-        loop = self.store.build(loop_name)
-        if slp.length(loop) == 0:
-            loop = slp.literal("a", EVENT_ALPHABET)
-        return TranscriptPair(prefix, loop)
+        """The transcript pair in the workspace's store, resolving only the
+        states the bottom chain needs; an empty loop becomes 'a'."""
+        pre, loop = self.bottom_stage()
+        if not self.store.sym_length(loop):
+            loop = self.store.add(("a",))
+        return TranscriptPair._of(self.store, pre, loop)
 
 
 def udpda_to_transcript(a: NormalUdpda | RawUnpda) -> TranscriptPair:
@@ -505,19 +517,17 @@ class _FusedImage:
 
 
 def _characteristic(src: slp._Store, prefix: str, loop: str) -> IndicatorPair:
-    """Indicator pair for the transcript pair (prefix, loop) of a store over
-    {a, f}; see transcript_to_characteristic."""
+    """Indicator pair for the transcript pair (prefix, loop), the loop
+    nonempty, of a store over {a, f}; see transcript_to_characteristic."""
     cnf = slp._Store(EVENT_ALPHABET)
     pre_c, loop_c = slp._cnf(src, prefix, cnf), slp._cnf(src, loop, cnf)
     st = slp._Store(BIT_ALPHABET)
     img = _FusedImage(st, cnf, [r for r in (pre_c, loop_c) if r])
-    w = img.image(loop_c) if loop_c else st.add(())
+    w = img.image(loop_c)
     if not st.sym_length(w):
         # every a yields one bit, so the loop has none: the machine stops
-        # reading; pad with a's, keeping one f of a non-empty loop
-        if loop_c:
-            prefix = src.add((prefix, "f"))
-        return _characteristic(src, prefix, src.add(("a",)))
+        # reading; pad with a's, keeping one f of the loop
+        return _characteristic(src, src.add((prefix, "f")), src.add(("a",)))
 
     loop_first, loop_last = img.first[loop_c], img.last[loop_c]
     pre_last = img.last[pre_c] if pre_c else None
@@ -533,7 +543,7 @@ def _characteristic(src: slp._Store, prefix: str, loop: str) -> IndicatorPair:
         u = st.add((img.image(pre_c, drop_a=True), "1", w))
 
     head = st.add(("1" if first_bit else "0",))
-    return IndicatorPair(st.build(st.add((head, u))), st.build(w))
+    return IndicatorPair._of(st, st.add((head, u)), w)
 
 
 def transcript_to_characteristic(tp: TranscriptPair) -> IndicatorPair:
@@ -546,15 +556,14 @@ def transcript_to_characteristic(tp: TranscriptPair) -> IndicatorPair:
     without any a (the machine stops reading) is first replaced by a plain
     'a' loop, moving its single meaningful f, if any, into the prefix.
     """
-    st = slp._Store(EVENT_ALPHABET)
-    return _characteristic(st, st.imp(tp.prefix), st.imp(tp.loop))
+    return _characteristic(tp._st, tp._pre, tp._loop)
 
 
 def udpda_to_indicator(a: RawUnpda | NormalUdpda) -> IndicatorPair:
     """Indicator pair for the machine's language (the full pipeline); a raw
     machine is normalized on demand."""
-    ws = TranscriptWorkspace(a)
-    return _characteristic(ws.store, *ws.bottom_stage())
+    tp = TranscriptWorkspace(a).transcript()
+    return _characteristic(tp._st, tp._pre, tp._loop)
 
 
 # ---------------------------------------------------------------------------
@@ -566,9 +575,10 @@ _PAIR_KINDS = {cls.KIND: cls for cls in (IndicatorPair, TranscriptPair)}
 
 def parse_pair(text: str) -> IndicatorPair | TranscriptPair:
     """Parse a pair file: a `kind: indicator|transcript` header, the prefix
-    program, a `---` separator line, and the loop program."""
+    program, a `---` separator line, and the loop program.  An error in a
+    program names its block and counts lines from the start of the file."""
     kind = None
-    blocks: list[list[str]] = [[]]
+    blocks: list[tuple[int, list[str]]] = []  # (first line number, lines)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
         if kind is None:
@@ -579,18 +589,22 @@ def parse_pair(text: str) -> IndicatorPair | TranscriptPair:
             kind = stripped[len("kind:"):].strip()
             if kind not in _PAIR_KINDS:
                 raise FormatError(f"line {lineno}: unknown kind {kind!r}")
-            continue
-        if stripped == "---":
-            blocks.append([])
+            blocks.append((lineno + 1, []))
+        elif stripped == "---":
+            blocks.append((lineno + 1, []))
         else:
-            blocks[-1].append(raw)
+            blocks[-1][1].append(raw)
     if kind is None:
         raise FormatError("missing 'kind:' header")
     if len(blocks) != 2:
         raise FormatError("expected exactly one '---' separator")
-    prefix = slp.parse_slp("\n".join(blocks[0]))
-    loop = slp.parse_slp("\n".join(blocks[1]))
-    return _PAIR_KINDS[kind](prefix, loop)
+    programs = []
+    for name, (first, lines) in zip(("prefix", "loop"), blocks):
+        try:
+            programs.append(slp.parse_slp("\n".join(lines), first))
+        except FormatError as err:
+            raise FormatError(f"{name}: {err}") from None
+    return _PAIR_KINDS[kind](*programs)
 
 
 def format_pair(pair: IndicatorPair | TranscriptPair) -> str:

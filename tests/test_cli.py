@@ -203,6 +203,22 @@ class TestConvertRoundTrips:
         assert run(capsys, "convert", "transcript-to-indicator", tpath, "-o", ipath)[0] == 0
         assert translate.parse_pair(ipath.read_text()).sequence(8) == "10101010"
 
+    def test_padded_transcript_loop(self, capsys, tmp_path):
+        # the machine stops reading in an input-free loop through a
+        # non-final state: no events, so the loop is padded with one a,
+        # written as canonically as every other program
+        m = tmp_path / "stops.updpa"
+        m.write_text(udpda.format_udpda(udpda.RawUnpda(
+            states=frozenset({"q0", "q1"}), stack_alphabet=frozenset({"_"}), bottom="_",
+            initial="q0", finals=frozenset({"q0"}),
+            transitions=frozenset({("q0", "a", "_", "q1", ("_",)),
+                                   ("q1", "", "_", "q1", ("_",))}))))
+        code, out, _ = run(capsys, "convert", "udpda-to-transcript", m)
+        assert code == 0
+        assert out == "\n".join([
+            "kind: transcript", "alphabet: af", "N0 -> N1 N2", "N1 -> N4 N6", "N2 -> N3 N4",
+            "N3 -> N5 N4", "N4 -> eps", "N5 -> a", "N6 -> f", "---", "alphabet: af", "N0 -> a"])
+
     def test_expr_to_cfg(self, capsys, tmp_path):
         e = tmp_path / "e.expr"
         e.write_text("(1|2)*\n")
@@ -413,6 +429,22 @@ class TestCheckOutputs:
         bad.write_text("alphabet: 01\nS -> 0\nS -> 1 1\n")
         code, out, err = run(capsys, "slp", "len", bad)
         assert code == 2 and out == "" and "line 3: second production for S" in err
+
+    @pytest.mark.parametrize("text, problem", [
+        ("kind: indicator\nalphabet: 01\nS -> 1\n---\nalphabet: 01\nL -> 0\nL -> 1\n",
+         "loop: line 7: second production for L"),
+        ("kind: indicator\nalphabet: 01\nS -> 1\n---\nalphabet: 01\nL 0\n",
+         "loop: line 6: expected 'N -> tok ...'"),
+        ("kind: indicator\nalphabet: 01\nS -> 1 X\n---\nalphabet: 01\nL -> 0\n",
+         "prefix: missing production X"),
+    ])
+    def test_pair_file_errors_exit_2(self, capsys, tmp_path, text, problem):
+        # a pair file's errors count lines from the start of the file, and
+        # name the block
+        bad = tmp_path / "bad.pair"
+        bad.write_text(text)
+        code, out, err = run(capsys, "convert", "indicator-to-udpda", bad)
+        assert code == 2 and out == "" and err == f"error: {problem}"
 
 
 # 3,000 nested parentheses around a constant, each closed by an operator

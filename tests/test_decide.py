@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from pdapress import compare, decide, slp, udpda
+from pdapress import compare, decide, slp, translate, udpda
 from pdapress.errors import BadRange
 from pdapress.reductions import (
     SubsetSumInstance,
@@ -22,6 +22,7 @@ from helpers import (
     machine_loop,
     machine_mod,
     random_normal_udpda,
+    random_slp,
 )
 
 
@@ -164,6 +165,36 @@ class TestInclusion:
         res = decide.inclusion(a, b, budget=10_000)
         assert res.verdict == compare.FAILS
         assert res.witness == compare.comp_slp(p1, p2, compare.ZERO_LEQ_ONE).witness
+
+    def test_no_copy_after_translation(self, monkeypatch):
+        # the pairs are built first; from then on every decision reads them
+        # where their grammars live, with no store copy and no canonical build
+        rng = random.Random(64)
+        machines = [random_normal_udpda(rng, max_states=8) for _ in range(30)]
+        pairs = [translate.udpda_to_indicator(m) for m in machines]
+        pairs += [IndicatorPair(random_slp(rng, max_len=200), random_slp(rng, min_len=1, max_len=90))
+                  for _ in range(10)]
+        cases = list(zip(pairs, pairs[1:] + pairs[:1]))
+        want = [(decide._pair_included(x, y, compare.DEFAULT_BUDGET), decide._pair_equal(x, y),
+                 udpda.format_udpda(indicator_to_udpda(x))) for x, y in cases]
+        verdicts = [(decide.emptiness(m), decide.universality(m),
+                     decide.compressed_membership(m, 1 << 70), decide.equivalence(m, n),
+                     decide.inclusion(m, n)) for m, n in zip(machines, machines[1:])]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a store copy or a canonical build")
+
+        monkeypatch.setattr(slp._Store, "imp", refuse)
+        monkeypatch.setattr(slp._Store, "build", refuse)
+        got = [(decide._pair_included(x, y, compare.DEFAULT_BUDGET), decide._pair_equal(x, y),
+                udpda.format_udpda(indicator_to_udpda(x))) for x, y in cases]
+        assert [(r.verdict, r.witness, r.visited) for r, *_ in got] == \
+            [(r.verdict, r.witness, r.visited) for r, *_ in want]
+        assert [rest for _, *rest in got] == [rest for _, *rest in want]
+        # the translation itself copies nothing either
+        assert [(decide.emptiness(m), decide.universality(m),
+                 decide.compressed_membership(m, 1 << 70), decide.equivalence(m, n),
+                 decide.inclusion(m, n)) for m, n in zip(machines, machines[1:])] == verdicts
 
     def test_long_coprime_loops(self):
         # loops of coprime lengths near 10^4 give a window of ~10^8

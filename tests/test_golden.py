@@ -25,7 +25,8 @@ from pdapress import decide, reductions, slp, translate, udpda
 
 from helpers import handcrafted_machines, random_normal_udpda, random_raw_udpda, random_slp
 
-GOLDEN = "f354353eb4220d9d18d6c73516b5d1e5096426a7e22d63e01bce7287390921b0"
+# every program of a pair is written canonically, a padded transcript loop too
+GOLDEN = "862e723776a1743cd528cbc44175c5a77e9db450f96c54a5ceaf8fb9c39a2956"
 VERDICTS = "0945395eee1c3f7d36b250d6c1b673246a4ef94d2a7f9a9b7adde2c7482c3bea"
 
 

@@ -1,5 +1,6 @@
 """The translation theorem, both directions, against the simulator."""
 
+import math
 import random
 
 import pytest
@@ -442,13 +443,17 @@ class TestFullPipeline:
         assert ip.sequence(12) == udpda.run_prefix(m, 12) == want
 
     def test_builds_two_programs(self, monkeypatch):
+        # the translation leaves the pair in its store; only writing it
+        # builds the two canonical programs
         built = []
         build = slp._Store.build
         monkeypatch.setattr(slp._Store, "build", lambda st, sym: built.append(sym) or build(st, sym))
         rng = random.Random(51)
         for m in [machine_even(), machine_push_loop()] + [random_normal_udpda(rng) for _ in range(10)]:
             built.clear()
-            udpda_to_indicator(m)
+            pair = udpda_to_indicator(m)
+            assert len(built) == 0
+            translate.format_pair(pair)
             assert len(built) == 2
 
     def test_scheduling_is_deterministic(self):
@@ -501,6 +506,48 @@ class TestWindow:
             with pytest.raises(BadRange):
                 pair.window(n, start)
 
+    def test_words_walk_like_windows(self):
+        # a word is read in the pair's store, a window is a canonical copy:
+        # comparisons over either give the same answer and the same walk
+        rng = random.Random(52)
+        for trial in range(60):
+            prefix = random_slp(rng, max_len=150) if trial % 4 else bits("")
+            x = IndicatorPair(prefix, random_slp(rng, min_len=1 + 80 * (trial % 2), max_len=300))
+            # another prefix of the same length before the same loop makes
+            # the tails one program in two stores
+            other = slp.power(bits("1"), slp.length(prefix)) if trial % 3 == 0 else \
+                random_slp(rng, max_len=150)
+            y = IndicatorPair(other, x.loop if trial % 3 == 0 else
+                              random_slp(rng, min_len=1, max_len=120))
+            (p1, k1), (p2, k2) = x.lengths, y.lengths
+            p = max(p1, p2)
+            for start in {0, min(p1, p2) // 2, p1, p2, p, p + 1, p + 3 * k1 + 2}:
+                for n in {0, 1, k1, p + k1 + k2, math.lcm(k1, k2)}:
+                    words = x.word(n, start), y.word(n, start)
+                    windows = x.window(n, start), y.window(n, start)
+                    assert slp.equal(*words) == slp.equal(*windows)
+                    for budget in (compare.DEFAULT_BUDGET, 5):
+                        got, want = (compare.comp_slp(*pair, compare.ZERO_LEQ_ONE, budget)
+                                     for pair in (words, windows))
+                        assert (got.verdict, got.witness, got.visited, got.checked,
+                                got.period) == (want.verdict, want.witness, want.visited,
+                                                want.checked, want.period), (trial, start, n)
+
+    def test_view_of_a_word_reaches_only_its_symbols(self):
+        pair = IndicatorPair(random_slp(random.Random(53), max_len=500),
+                             random_slp(random.Random(54), min_len=1, max_len=300))
+        for n in range(0, 400, 7):
+            pair.word(n, n // 2)
+        w = pair.word(1, 123)
+        assert len(w.productions) > 50  # the word shares the store of all those cuts
+        view = compare._View(w, {"0": 1, "1": 2})
+        assert len(view.order) == 1 and set(view.lens) == {*view.order, "0", "1"}
+        assert view.lens[w.axiom] == 1
+        # a name that is a terminal is wrapped, as a build wraps it
+        w = slp._Store("01").word("1")
+        assert w.axiom not in w.alphabet and slp.expand(w, 1) == "1"
+        assert slp.format_slp(slp._Store("01").build("1")) == "alphabet: 01\nN0 -> 1\n"
+
     def test_cut_past_the_prefix_is_a_power_of_the_rotated_loop(self):
         rng = random.Random(51)
         for _ in range(60):
@@ -534,19 +581,38 @@ class TestPairFormat:
 
     def test_kinds_never_compare_equal(self):
         # no nonempty loop is valid for both kinds, so a transcript pair is
-        # given the indicator pair's very programs behind the constructor
+        # given the indicator pair's very store and names through the
+        # private constructor the pipeline stages use
         ip = IndicatorPair(bits("1"), bits("01"))
-        tp = object.__new__(TranscriptPair)
-        object.__setattr__(tp, "prefix", ip.prefix)
-        object.__setattr__(tp, "loop", ip.loop)
+        tp = TranscriptPair._of(ip._st, ip._pre, ip._loop)
+        assert (tp.prefix, tp.loop) == (ip.prefix, ip.loop)
         assert ip != tp and tp != ip
         assert ip == IndicatorPair(bits("1"), bits("01"))
 
     def test_repeated_left_hand_side_in_a_block(self):
         from pdapress.errors import FormatError
         text = "kind: indicator\nalphabet: 01\nS -> 1\n---\nalphabet: 01\nL -> 0\nL -> 1\n"
-        with pytest.raises(FormatError, match="second production for L"):
+        # lines count from the start of the file, not of the block
+        with pytest.raises(FormatError, match="^loop: line 7: second production for L$"):
             translate.parse_pair(text)
+
+    @pytest.mark.parametrize("text, message", [
+        ("kind: indicator\nalphabet: 01\nS -> 1\n---\nalphabet: 01\nL 0\n",
+         "loop: line 6: expected 'N -> tok ...'"),
+        # blank and comment lines before the header count too
+        ("\n# a pair\nkind: indicator\nalphabet: 01\nS => 1\n---\nalphabet: 01\nL -> 0\n",
+         "prefix: line 5: expected 'N -> tok ...'"),
+        ("kind: indicator\nalphabet: 01\nS -> 1 X\n---\nalphabet: 01\nL -> 0\n",
+         "prefix: missing production X"),
+        ("kind: transcript\nalphabet: af\nS -> a\n---\nL -> a\n",
+         "loop: line 5: expected 'alphabet:' header"),
+        ("kind: indicator\nalphabet: 01\nS -> 1\n---\n# nothing\n", "loop: missing 'alphabet:' header"),
+    ])
+    def test_errors_name_the_block_and_count_file_lines(self, text, message):
+        from pdapress.errors import FormatError
+        with pytest.raises(FormatError) as err:
+            translate.parse_pair(text)
+        assert str(err.value) == message
 
     def test_bad_header(self):
         from pdapress.errors import FormatError
