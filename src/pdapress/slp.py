@@ -236,7 +236,8 @@ class _Store:
             self._next += 1
             name = f"n{self._next}"
             self.productions[name] = rhs
-            self.lengths[name] = sum(self.sym_length(s) for s in rhs)
+            alphabet, lengths = self.alphabet, self.lengths
+            lengths[name] = sum([1 if s in alphabet else lengths[s] for s in rhs])
             self._memo[rhs] = name
         return name
 
@@ -466,10 +467,14 @@ def to_cnf(p: Slp) -> Slp:
 
 
 def size(p: Slp) -> int:
-    """Number of nonterminals in the Chomsky normal form; 0 for the empty word."""
-    if length(p) == 0:
-        return 0
-    return len(to_cnf(p).productions)
+    """Number of nonterminals in the Chomsky normal form; 0 for the empty word.
+
+    Counts the names reachable from the CNF's root in its store, so no
+    program is built: the store also wraps alphabet symbols the word may
+    not use."""
+    st = _Store(p.alphabet)
+    root = _cnf(p, p.axiom, st)
+    return 0 if root is None else len(_toposort(st, [root]))
 
 
 # Exponents e of the Mersenne primes 2**e - 1 (OEIS A000043) above 64.

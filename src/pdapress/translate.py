@@ -183,7 +183,10 @@ def _slp_machine(g: _Gadgets, store: slp._Store, sym: str, ns: str) -> tuple[str
     internal edge whose exit is final iff the symbol is 1; any other
     production pushes a return marker per child.  A fan-out reduction pass
     first makes every nonterminal occur at most twice, so the k-th
-    occurrence pushes marker k and the program needs two markers in all.
+    occurrence pushes marker g{k} and the program needs two markers in all.
+    The markers are the same in every namespace: the stack holds only the
+    markers of the gadget that is running, which starts and ends at the
+    bottom, so one pair serves every program of a machine.
     """
     cnf = slp._Store(BIT_ALPHABET)
     root = slp._cnf(store, sym, cnf)
@@ -204,7 +207,7 @@ def _slp_machine(g: _Gadgets, store: slp._Store, sym: str, ns: str) -> tuple[str
         prev = entry[name]
         for pos, child in enumerate(rhs):
             seen[child] = seen.get(child, 0) + 1
-            sym = f"{ns}.g{seen[child]}"
+            sym = f"g{seen[child]}"
             g.stack.add(sym)
             g.push[prev] = (entry[child], sym)
             landing = exit_[name] if pos == len(rhs) - 1 else f"{ns}.m.{name}.{pos}"
@@ -241,16 +244,19 @@ HALT_STATE = "halt"
 def slp_to_udpda(p: Slp) -> NormalUdpda:
     """Machine whose characteristic sequence is 0.str(p).0^omega.
 
-    Past the axiom's exit sits a non-accepting sink (HALT_STATE) that reads
-    input and pops the bottom symbol forever, so the machine reaches it with
-    an empty stack after exactly |str p| reads and accepts nothing beyond.
+    The axiom's gadget starts and ends at the bottom of the stack; from its
+    exit an internal edge leads to a non-accepting sink (HALT_STATE) that
+    reads input forever, so the machine reaches it with an empty stack
+    after exactly |str p| reads and accepts nothing beyond.  Both are
+    internal states, so a machine over the bottom symbol alone has no pop
+    state and reads back from its file as itself.
     """
     st = slp._Store(BIT_ALPHABET)
     g = _Gadgets()
     entry, exit_ = _slp_machine(g, st, _import(st, p), "s")
-    g.pop[(exit_, DEFAULT_BOTTOM)] = HALT_STATE
+    g.internal[exit_] = HALT_STATE
+    g.internal[HALT_STATE] = HALT_STATE
     g.reading.add(HALT_STATE)
-    g.pop[(HALT_STATE, DEFAULT_BOTTOM)] = HALT_STATE
     return _assemble(g, entry)
 
 
@@ -299,7 +305,8 @@ class TranscriptWorkspace:
     events `v` and its exit or pending edge, the first time the walk reads
     it; the workspace starts empty, and a state the computation never
     needs costs nothing.  A raw machine is read through a NormalView,
-    which builds a pair's chain when the walk first pops on that pair.
+    where a uniform raw state is its own normal-form state and any other
+    state's pair gets its chain when the walk first pops on that pair.
     """
 
     def __init__(self, machine: NormalUdpda | RawUnpda):
@@ -329,6 +336,14 @@ class TranscriptWorkspace:
         else:
             self.exit[q] = (q, self.empty)
 
+    def _cat(self, parts) -> str:
+        """Store name for the concatenation of event names, empty ones left out."""
+        empty = self.empty
+        parts = [p for p in parts if p != empty]
+        if len(parts) > 1:
+            return self.store.add(parts)
+        return parts[0] if parts else empty
+
     def _drop_edge(self, q: str) -> tuple[str, str]:
         """Remove q's pending edge; returns its target and event nonterminal."""
         self.pushing.discard(q)
@@ -340,13 +355,13 @@ class TranscriptWorkspace:
         """Edge into a non-returning state: q is non-returning as well."""
         target, nt = self._drop_edge(q)
         pre, loop = self.nonret[target]
-        self.nonret[q] = (self.store.add((nt, pre)), loop)
+        self.nonret[q] = (self._cat((nt, pre)), loop)
 
     def apply_r2(self, q: str):
         """Horizontal edge into a returning state: q returns through it."""
         target, nt = self._drop_edge(q)
         q2, seg = self.exit[target]
-        self.exit[q] = (q2, self.store.add((nt, seg)))
+        self.exit[q] = (q2, self._cat((nt, seg)))
 
     def apply_r3(self, q: str):
         """Push edge into a returning state: q gets a horizontal successor,
@@ -355,16 +370,19 @@ class TranscriptWorkspace:
         gamma = self.machine.push[q][1]
         q2, seg = self.exit[target]
         landing = self.machine.pop[(q2, gamma)]
-        self.edge[q] = (landing, self.store.add((self.v[q], seg, self.v[q2])))
+        self.edge[q] = (landing, self._cat((self.v[q], seg, self.v[q2])))
 
     def apply_r4(self, cycle: list[str]):
-        """A simple cycle of pending edges: everything on it loops forever."""
+        """A simple cycle of pending edges, given from its least state:
+        everything on it loops forever.  The loop is the cycle's events from
+        the least state, which gets an empty prefix; each later state's
+        prefix is the events from it back to the least state."""
         nts = [self._drop_edge(q)[1] for q in cycle]
-        loop_nt = self.store.add(tuple(nts))
-        pre = nts[-1]
-        self.nonret[cycle[-1]] = (pre, loop_nt)
-        for i in range(len(cycle) - 2, -1, -1):
-            pre = self.store.add((nts[i], pre))
+        loop_nt = self._cat(nts)
+        self.nonret[cycle[0]] = (self.empty, loop_nt)
+        pre = self.empty
+        for i in range(len(cycle) - 1, 0, -1):
+            pre = self._cat((nts[i], pre))
             self.nonret[cycle[i]] = (pre, loop_nt)
 
     # -- resolution -------------------------------------------------------
@@ -427,13 +445,13 @@ class TranscriptWorkspace:
         while q not in self.nonret and q not in index:
             index[q] = len(segs)
             q2, seg = self.exit[q]
-            segs.append(st.add((seg, self.v[q2])))
+            segs.append(self._cat((seg, self.v[q2])))
             q = machine.pop[(q2, machine.bottom)]
             self.resolve(q)
         if q in self.nonret:
             pre, loop = self.nonret[q]
-            return st.add((*segs, pre)), loop
-        return st.add(segs[: index[q]]), st.add(segs[index[q]:])
+            return self._cat((*segs, pre)), loop
+        return self._cat(segs[: index[q]]), self._cat(segs[index[q]:])
 
     def transcript(self) -> TranscriptPair:
         """The transcript pair in the workspace's store, resolving only the
@@ -540,7 +558,7 @@ def _characteristic(src: slp._Store, prefix: str, loop: str) -> IndicatorPair:
             u = st.add((img.image(pre_c, drop_a=True), "1"))
     elif loop_first == "f" and pre_last == "a":
         # only the first junction can fuse
-        u = st.add((img.image(pre_c, drop_a=True), "1", w))
+        u = st.add((img.image(pre_c, drop_a=True), "1"))
 
     head = st.add(("1" if first_bit else "0",))
     return IndicatorPair._of(st, st.add((head, u)), w)

@@ -5,8 +5,10 @@ the stack by a word of length at most two, with the bottom symbol kept at
 the bottom.  A :class:`NormalUdpda` is the restricted shape the translation
 algorithm works on: every control state performs exactly one of {internal,
 push-one, pop-one}, pops are total over the stack alphabet, and reads are a
-property of the state.  A :class:`NormalView` builds the normal form one
-(state, top) pair at a time, for the translation.  The simulator
+property of the state.  A :class:`NormalView` builds the normal form as
+the translation reaches it: a uniform raw state is its own normal-form
+state, and any other state's chain is built one (state, top) pair at a
+time.  The simulator
 (:func:`run_prefix`, :func:`membership_sim`) is the ground-truth oracle for
 everything else.
 """
@@ -168,41 +170,88 @@ def _pushes(a: RawUnpda, gamma: str, s: tuple[str, ...]) -> tuple[str, ...]:
     return () if s in ((), (a.bottom,)) else s[:1]
 
 
+def _shape(a: RawUnpda, q: str) -> tuple[bool, str, str | tuple[str, str] | None] | None:
+    """What a uniform raw state is in the normal form; None if q is not uniform.
+
+    q is uniform when it has a move on every top and all its moves share
+    one input.  If every move goes to one target t and keeps its top under
+    one pushed word, (gamma,) or (X, gamma), q is internal (reads, "internal",
+    t) or pushes X (reads, "push", (t, X)).  If every move pops its top, ()
+    and on the bottom () or (bottom,), q is a pop state (reads, "pop", None)
+    whose pops go straight to their targets.  With the bottom the only
+    stack symbol, a move that keeps it is internal.
+    """
+    moves, bottom = a.moves, a.bottom
+    first = moves.get((q, bottom))
+    if first is None:
+        return None
+    sigma, target, s = first
+    above = _pushes(a, bottom, s)
+    same, pops = True, not above
+    for gamma in a.stack_alphabet:
+        if gamma == bottom:
+            continue
+        move = moves.get((q, gamma))
+        if move is None or move[0] != sigma:
+            return None
+        s = move[2]
+        same = same and move[1] == target and s == (*above, gamma)
+        pops = pops and not s
+        if not (same or pops):
+            return None
+    reads = sigma == "a"
+    if same:
+        return (reads, "push", (target, above[0])) if above else (reads, "internal", target)
+    return reads, "pop", None
+
+
 class NormalView:
-    """The normal form of a raw machine, built one (state, top) pair at a time.
+    """The normal form of a raw machine, built as the transcript walk and the
+    simulator reach it.
 
     It has the attributes of a NormalUdpda that the transcript walk and the
-    simulator read.  Reading pop[(q, gamma)] for the first time builds that
-    pair's chain, as `normalize` does: an isolated reading state if the move
-    consumes input, then one push state per pushed symbol; `states`,
-    `internal`, `push` and `reading` hold the states built so far.  Chain
-    names are those of `normalize`: they can depend on the order pairs are
-    read only when two pairs share a name q.gamma.*, which needs a stack
-    symbol ending with '.' and another stack symbol, and then every pair is
-    read up front in sorted order.  A pair's chain comes from the raw
-    machine's move map, which its constructor has checked deterministic.
+    simulator read.  A raw state is classified the first time the view
+    hands it out: as the initial state, as a chain's target or as a uniform
+    state's target.  A uniform state (see _shape) is its own normal-form
+    state, internal, pushing or popping, and reads iff its moves do; so a
+    machine written from a NormalUdpda reads back with the same states.
+    Every other raw state is a pop state, and reading pop[(q, gamma)] for
+    the first time builds that pair's chain, as `normalize` does: an
+    isolated reading state if the move consumes input, then one push state
+    per pushed symbol.  `states` holds the raw states and the chain states
+    built so far; `internal`, `push`, `pop` and `reading` what is built.
+    Chain names are those of `normalize`: they can depend on the order
+    pairs are read only when two pairs share a name q.gamma.*, which needs a
+    stack symbol ending with '.' and another stack symbol, and then every
+    pair is read up front in sorted order.  A pair's chain comes from the
+    raw machine's move map, which its constructor has checked deterministic.
     """
 
     def __init__(self, a: RawUnpda):
         self.pop = chains = _Chains(a)
         self.states, self.internal = chains.states, chains.internal
         self.push, self.reading = chains.push, chains.reading
-        self.initial, self.finals = a.initial, a.finals
+        self.initial, self.finals = chains.classify(a.initial), a.finals
         self.stack_alphabet, self.bottom = a.stack_alphabet, a.bottom
         gammas = a.stack_alphabet
         if any(g[i + 1:] in gammas for g in gammas for i, c in enumerate(g) if c == "."):
             self.read_all()
 
     def read_all(self):
-        """Build every pair's chain, in sorted order."""
-        for q in sorted(self.pop.raw.states):
-            for gamma in sorted(self.stack_alphabet):
-                self.pop[(q, gamma)]
+        """Classify every raw state, then build every pop state's pairs,
+        both in sorted order."""
+        states = sorted(self.pop.raw.states)
+        for q in states:
+            self.pop.classify(q)
+        for q in states:
+            if q not in self.internal and q not in self.push:
+                for gamma in sorted(self.stack_alphabet):
+                    self.pop[(q, gamma)]
 
 
 class _Chains(dict):
-    """The pop map of a NormalView, which builds the states it maps to from
-    the raw machine's move map.
+    """The pop map of a NormalView, which classifies raw states and builds
+    the states it maps to from the raw machine's move map.
 
     It refers to no view, so a view is freed as soon as its last user drops
     it rather than at the next cycle collection.
@@ -216,16 +265,48 @@ class _Chains(dict):
         self.internal: dict[str, str] = {dead: dead}
         self.push: dict[str, tuple[str, str]] = {}
         self.reading = {dead}
+        # each classified raw state: whether it is a uniform pop state,
+        # whose pops go straight to their targets
+        self.direct: dict[str, bool] = {}
+
+    def classify(self, q: str) -> str:
+        """Classify q, and the target of each uniform internal or push state
+        it leads to, as the maps hand those targets out at once; returns q."""
+        start, direct = q, self.direct
+        while q not in direct:
+            shape = _shape(self.raw, q)
+            direct[q] = shape is not None and shape[1] == "pop"
+            if shape is not None:
+                reads, kind, value = shape
+                if reads:
+                    self.reading.add(q)
+                if kind == "internal":
+                    self.internal[q] = q = value
+                elif kind == "push":
+                    self.push[q] = value
+                    q = value[0]
+        return start
 
     def __missing__(self, key: tuple[str, str]) -> str:
-        """Build the chain of the pair and map the pair to its first state; a
-        missing move leads to the non-final reading dead state."""
+        """Map a pop state's pair to its target, building its chain if the
+        state is not uniform; a missing move leads to the non-final reading
+        dead state."""
         q, gamma = key
+        direct = self.direct
+        if q not in direct:
+            self.classify(q)
         move = self.raw.moves.get(key)
-        if move is None:
+        if direct[q]:
+            target = move[1]
+            if target not in direct:
+                self.classify(target)
+        elif q in self.internal or q in self.push:
+            raise KeyError(key)
+        elif move is None:
             target = self.dead
         else:
             sigma, target, s = move
+            self.classify(target)
             # Chain: [read] then pushes applied bottom-up, landing at the target.
             for i, sym in enumerate(_pushes(self.raw, gamma, s)):
                 node = _uniquify(f"{q}.{gamma}.push{i}", self.states)
@@ -243,12 +324,16 @@ class _Chains(dict):
 def normalize(a: RawUnpda) -> NormalUdpda:
     """Language-equivalent machine in the normal shape.
 
-    Every raw state becomes a pop state dispatching on the top symbol; each
-    raw transition unfolds into a short chain (an isolated reading state if
-    it consumes input, then one push state per pushed symbol).  Missing
-    moves lead to a non-final reading dead state that loops on itself.  The
-    result has at most 6 * |Q| * |Gamma| states.  This is a NormalView with
-    every pair read, in sorted order.
+    A uniform raw state (see _shape) keeps its name and becomes an
+    internal, push or pop state of its own; every other raw state becomes a
+    pop state dispatching on the top symbol, and each of its moves unfolds
+    into a short chain (an isolated reading state if it consumes input,
+    then one push state per pushed symbol).  Missing moves lead to a
+    non-final reading dead state that loops on itself.  So normalize is a
+    fixed point on normal machines written as raw ones, up to one unused
+    dead state, and the result has at most 6 * |Q| * |Gamma| states.  This
+    is a NormalView with every state classified and every pair read, in
+    sorted order.
     """
     view = NormalView(a)
     view.read_all()
@@ -265,9 +350,12 @@ def normalize(a: RawUnpda) -> NormalUdpda:
 
 
 def normal_size(a: RawUnpda) -> int:
-    """normalize(a).size, counted from the moves without building chains."""
+    """normalize(a).size, counted from the moves without building chains:
+    the raw states, the dead state, and the chain states of the moves of
+    states that are not uniform."""
+    uniform = {q for q in a.states if _shape(a, q)}
     chains = sum(len(_pushes(a, gamma, s)) + (sigma == "a")
-                 for (_, gamma), (sigma, _, s) in a.moves.items())
+                 for (q, gamma), (sigma, _, s) in a.moves.items() if q not in uniform)
     return (len(a.states) + 1 + chains) * len(a.stack_alphabet)
 
 

@@ -105,6 +105,66 @@ def random_raw_udpda(rng: random.Random, max_states=8, max_stack=3) -> RawUnpda:
     )
 
 
+def random_uniform_raw_udpda(rng: random.Random, max_states=8, max_stack=3) -> RawUnpda:
+    """A random deterministic raw machine whose states are mostly uniform:
+    a move on every top, all with one input, that either keep the top under
+    one pushed word and go to one target, or pop it.  About a third of the
+    states are spoilt by a missing move on one top, one move with the other
+    input, another target or another push word."""
+    nq = rng.randint(1, max_states)
+    ngam = rng.randint(1, max_stack)
+    states = [f"q{i}" for i in range(nq)]
+    gammas = [BOTTOM] + [f"g{i}" for i in range(ngam - 1)]
+    nonbottom = gammas[1:]
+    transitions = set()
+    for q in states:
+        sigma = "a" if rng.random() < 0.5 else ""
+        kind = rng.choice(["internal", "push", "pop"] if nonbottom else ["internal", "pop"])
+        target = rng.choice(states)
+        x = rng.choice(nonbottom) if nonbottom else None
+        moves = {}
+        for gamma in gammas:
+            keep = rng.choice([(), (BOTTOM,)]) if gamma == BOTTOM else (gamma,)
+            if kind == "internal":
+                moves[gamma] = [sigma, target, keep]
+            elif kind == "push":
+                moves[gamma] = [sigma, target, (x, gamma)]
+            else:
+                moves[gamma] = [sigma, rng.choice(states), keep if gamma == BOTTOM else ()]
+        spoil, gamma = rng.random(), rng.choice(gammas)
+        if spoil < 0.1:
+            del moves[gamma]
+        elif spoil < 0.2:
+            moves[gamma][0] = "a" if moves[gamma][0] == "" else ""
+        elif spoil < 0.27:
+            moves[gamma][1] = rng.choice(states)
+        elif spoil < 0.34:
+            if gamma == BOTTOM:
+                moves[gamma][2] = rng.choice([(), (BOTTOM,), *((y, BOTTOM) for y in nonbottom)])
+            else:
+                moves[gamma][2] = rng.choice([(), *((y,) for y in nonbottom),
+                                              *((y, z) for y in nonbottom for z in nonbottom)])
+        transitions.update((q, sg, gamma, t, s) for gamma, (sg, t, s) in moves.items())
+    return RawUnpda(
+        states=frozenset(states),
+        stack_alphabet=frozenset(gammas),
+        bottom=BOTTOM,
+        initial="q0",
+        finals=frozenset(q for q in states if rng.random() < 0.4),
+        transitions=frozenset(transitions),
+    )
+
+
+def check_fixed_point(m: NormalUdpda):
+    """Assert that normalizing m written as a raw machine gives m back: the
+    same maps and reading set, plus one unused dead state."""
+    again = udpda.normalize(udpda.to_raw(m))
+    (dead,) = again.states - m.states
+    assert again.internal == {**m.internal, dead: dead}
+    assert (again.push, again.pop, again.reading) == (m.push, m.pop, m.reading | {dead})
+    assert (again.initial, again.finals) == (m.initial, m.finals)
+
+
 # ---------------------------------------------------------------------------
 # Independent machine oracle (textbook semantics, raw machines)
 
@@ -146,6 +206,24 @@ def raw_run_prefix(a: RawUnpda, n: int, fuel: int = 4000) -> str:
     if consumed < n and q in a.finals and (eps <= fuel):
         bits[consumed] = 1
     return "".join("1" if b else "0" for b in bits)
+
+
+def raw_configurations(a: RawUnpda, n: int) -> list[tuple[str, tuple[str, ...]]]:
+    """The first n configurations (state, stack with its top last) of a raw
+    machine by direct stepping, as raw_run_prefix steps it; fewer if the
+    machine halts."""
+    moves = {(t[0], t[2]): t for t in a.transitions}
+    q, stack, out = a.initial, [a.bottom], []
+    while len(out) < n:
+        out.append((q, tuple(stack)))
+        t = moves.get((q, stack[-1]))
+        if t is None:
+            break
+        _, _, gamma, q, s = t
+        if gamma != a.bottom or s:
+            stack.pop()
+            stack.extend(reversed(s))
+    return out
 
 
 def step_normal(a: NormalUdpda, q: str, stack: list[str]) -> tuple[str, bool]:

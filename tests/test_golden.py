@@ -23,11 +23,22 @@ from pathlib import Path
 
 from pdapress import decide, reductions, slp, translate, udpda
 
-from helpers import handcrafted_machines, random_normal_udpda, random_raw_udpda, random_slp
+from helpers import (
+    check_fixed_point,
+    handcrafted_machines,
+    random_normal_udpda,
+    random_raw_udpda,
+    random_slp,
+)
 
-# every program of a pair is written canonically, a padded transcript loop too
-GOLDEN = "862e723776a1743cd528cbc44175c5a77e9db450f96c54a5ceaf8fb9c39a2956"
-VERDICTS = "0945395eee1c3f7d36b250d6c1b673246a4ef94d2a7f9a9b7adde2c7482c3bea"
+# uniform raw states are their own normal-form states, a machine has one
+# marker pair, and no prefix holds a loop copy: the least state of an R4
+# cycle gets the empty prefix, and the characteristic stage writes no loop
+# copy after a fused prefix; the transcript walk leaves empty visits out of
+# its productions.  The verdicts keep every verdict and witness, and
+# `checked` only shrinks
+GOLDEN = "e708a5b9f954fbb7325ed329877bfaf49df180d231149926621859ebc29b6909"
+VERDICTS = "c68262ef4baab296026bf481633623cff55ea047bdcc48b95d35c4e780ab97f1"
 
 
 def _machines():
@@ -162,6 +173,29 @@ def _corpus():
 def _raw_corpus():
     """The machines of both corpora as raw machines."""
     return map(udpda.to_raw, _corpus())
+
+
+def _written_machines():
+    """The machines of both corpora that slp_to_udpda or indicator_to_udpda
+    built: the images of random programs, the machines of every third pair
+    of the outputs corpus, and the variant pairs."""
+    machines = list(_machines())
+    yield from machines[-100:]
+    pairs = [translate.udpda_to_indicator(m) for m in machines]
+    pairs += [translate.transcript_to_characteristic(tp) for tp in _transcripts()]
+    yield from map(translate.indicator_to_udpda, pairs[::3])
+    for pair in _variant_pairs():
+        yield from pair
+
+
+def test_written_machines_read_back_as_themselves():
+    # normalize is a fixed point on a machine the translation wrote, and
+    # translating its file gives the pairs of the machine itself
+    for m in _written_machines():
+        check_fixed_point(m)
+        raw = udpda.parse_udpda(udpda.format_udpda(m))
+        for convert in (translate.udpda_to_transcript, translate.udpda_to_indicator):
+            assert translate.format_pair(convert(raw)) == translate.format_pair(convert(m))
 
 
 def test_moves_survive_the_round_trip():

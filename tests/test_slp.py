@@ -151,6 +151,23 @@ class TestCnfAndSize:
         cnf = slp.to_cnf(p)
         assert slp.expand(cnf, 10) == "1"
 
+    def test_size_counts_the_cnf_without_building_it(self, monkeypatch):
+        # the CNF's store also wraps alphabet symbols the word never uses;
+        # only the names reachable from its root count
+        rng = random.Random(6)
+        programs = [random_slp(rng, "01", min_len=1, max_len=500) for _ in range(60)]
+        programs += [random_slp(rng, "012", min_len=1, max_len=500) for _ in range(60)]
+        programs += [Slp("01", {"S": ("1", "1")}, "S"), Slp("012", {"S": ("A", "0"),
+                                                                "A": ("0",)}, "S")]
+        assert any(set(slp.expand(p, 500)) < set(p.alphabet) for p in programs)
+        want = [len(slp.to_cnf(p).productions) for p in programs]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a canonical build")
+
+        monkeypatch.setattr(slp._Store, "build", refuse)
+        assert [slp.size(p) for p in programs] == want
+
     def test_size_subadditive_under_concat(self):
         rng = random.Random(5)
         for _ in range(50):

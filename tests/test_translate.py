@@ -107,7 +107,7 @@ class TestSlpToUdpda:
             pair = IndicatorPair(random_slp(rng, "01", max_prods=30, max_len=10**6),
                                  random_slp(rng, "01", max_prods=30, min_len=1, max_len=10**6))
             m = indicator_to_udpda(pair)
-            assert len(m.stack_alphabet) <= 5  # two markers per program, the bottom
+            assert len(m.stack_alphabet) <= 3  # one marker pair for both programs, the bottom
             assert m.size <= 80 * pair.size + 80
             assert udpda.run_prefix(m, 3000) == pair.sequence(3000)
 
@@ -267,6 +267,23 @@ class TestTranscriptWalk:
         main_stage(eager)
         assert not eager.edge and set(eager.v) == m.states
         assert eager.transcript() == tp
+        self.check(m)
+
+    @pytest.mark.parametrize("initial, transcript, indicator", [
+        ("t", (2, 4), (2, 3)),  # a tail, then the cycle at its least state
+        ("c0", (0, 4), (1, 3)),  # the cycle from its least state: an empty prefix
+        ("c1", (3, 4), (3, 3)),  # from c1 the prefix runs back to c0
+    ])
+    def test_cycle_entered_at_its_least_state(self, initial, transcript, indicator):
+        # R4 gives the cycle's least state c0 an empty prefix and the loop
+        # from c0, so no prefix carries a copy of the loop
+        m = normal(internal={"t": "c0", "c0": "c1", "c1": "c2", "c2": "c0"},
+                   reading={"t", "c0", "c1", "c2"}, finals={"t", "c1"}, initial=initial)
+        tp, ip = udpda_to_transcript(m), udpda_to_indicator(m)
+        assert (tp.lengths, ip.lengths) == (transcript, indicator)
+        assert slp.expand(tp.loop, 10) == "afaa"
+        assert tp.sequence(40) == collect_events(m, 40)
+        assert ip.sequence(40) == udpda.run_prefix(m, 40)
         self.check(m)
 
     def test_long_chain_into_a_pop_state(self):
@@ -455,6 +472,41 @@ class TestFullPipeline:
             assert len(built) == 0
             translate.format_pair(pair)
             assert len(built) == 2
+
+    def test_size_builds_no_program(self, monkeypatch):
+        rng = random.Random(55)
+        pairs = [udpda_to_indicator(random_normal_udpda(rng)) for _ in range(20)]
+        pairs += [IndicatorPair(random_slp(rng, "01", max_len=300),
+                                random_slp(rng, "01", min_len=1, max_len=300)) for _ in range(20)]
+        want = [slp.size(p.prefix) + slp.size(p.loop) for p in pairs]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a canonical build")
+
+        monkeypatch.setattr(slp._Store, "build", refuse)
+        assert [p.size for p in pairs] == want
+
+    def test_written_machine_reads_back_at_its_own_size(self):
+        # a machine this tool wrote is its own normal form: read back from
+        # its file, the walk enters each state at most once, plus the dead
+        # state, and never builds a chain
+        rng = random.Random(56)
+        programs = []
+        for tag, n in (("P", 1000), ("L", 1000)):
+            prods = {f"{tag}0": ("0",), f"{tag}1": ("1",)}
+            for i in range(2, n):
+                a, b = f"{tag}{i - 1}", f"{tag}{rng.randrange(i)}"
+                prods[f"{tag}{i}"] = (a, b) if rng.random() < 0.5 else (b, a)
+            programs.append(Slp("01", prods, f"{tag}{n - 1}"))
+        pair = IndicatorPair(*programs)
+        m = indicator_to_udpda(pair)
+        raw = udpda.parse_udpda(udpda.format_udpda(m))
+        ws = translate.TranscriptWorkspace(raw)
+        tp = ws.transcript()
+        assert len(ws.v) <= len(raw.states) + 1
+        assert len(ws.machine.states) == len(raw.states) + 1  # the dead state, no chain
+        assert tp == udpda_to_transcript(m)
+        assert transcript_to_characteristic(tp).sequence(5000) == pair.sequence(5000)
 
     def test_scheduling_is_deterministic(self):
         rng = random.Random(48)

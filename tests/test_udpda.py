@@ -1,5 +1,6 @@
 """Machines: raw validation, determinism, normalization, simulation."""
 
+import itertools
 import os
 import random
 import subprocess
@@ -16,10 +17,13 @@ from pdapress.udpda import NormalUdpda, RawUnpda
 
 from helpers import (
     BOTTOM,
+    check_fixed_point,
     machine_even,
     machine_loop,
     machine_push_loop,
     random_raw_udpda,
+    random_uniform_raw_udpda,
+    raw_configurations,
     raw_run_prefix,
     step_normal,
 )
@@ -156,14 +160,17 @@ class TestNormalView:
             a = random_raw_udpda(rng)
             if i % 2:
                 a = self.with_decoys(a)
-            pairs = [(q, g) for q in a.states for g in a.stack_alphabet]
+            eager = udpda.normalize(a)
+            pairs = list(eager.pop)  # the pairs of pop states
             rng.shuffle(pairs)
             view = udpda.NormalView(a)
             assert len(view.pop) == 0
             for pair in pairs:
                 view.pop[pair]
-            assert view.states == udpda.normalize(a).states
-            assert self.frozen(view) == self.frozen(udpda.normalize(a)), i
+            assert view.states == eager.states
+            assert dict(view.pop) == eager.pop
+            view.read_all()  # classifies the uniform states no pair led to
+            assert self.frozen(view) == self.frozen(eager), i
 
     def test_colliding_names_read_every_pair_up_front(self):
         # (q, x.g) and (q.x, g) both name their chains q.x.g.*, so the names
@@ -192,6 +199,40 @@ class TestNormalView:
                               ("u", "a", BOTTOM, "q0", ()),
                               ("u", "", BOTTOM, "u", ())])
         assert str(err.value) == "state u on top _ mixes a reading move with an epsilon move"
+
+    def test_uniform_states_against_the_raw_stepper(self):
+        # uniform states are their own normal-form states; spoilt ones get
+        # chains as before: normalize, the view, the simulator and the
+        # translation all follow the textbook semantics
+        rng = random.Random(41)
+        kinds = set()
+        for i in range(400):
+            a = random_uniform_raw_udpda(rng)
+            m = udpda.normalize(a)
+            kinds |= {(len(a.stack_alphabet) == 1, q in m.reading, q in m.internal, q in m.push)
+                      for q in a.states}
+            # the normal form visits the raw states in the raw order, with
+            # the same stacks; a raw move takes it at most four steps
+            configs = raw_configurations(a, 200)
+            for normal in (m, udpda.NormalView(a)):
+                got = [(q, tuple(stack)) for q, stack in
+                       itertools.islice(udpda.steps(normal, normal.initial), 4 * len(configs))
+                       if q in a.states]
+                assert got[:len(configs)] == configs and (len(configs) == 200 or got == configs), i
+            want = raw_run_prefix(a, 300, fuel=20000)
+            assert udpda.run_prefix(m, 300) == want, i
+            assert udpda.run_prefix(udpda.NormalView(a), 300) == want, i
+            assert translate.udpda_to_indicator(a).sequence(300) == want, i
+            assert translate.udpda_to_indicator(a) == translate.udpda_to_indicator(m), i
+            assert udpda.normal_size(a) == m.size, i
+            if len(a.stack_alphabet) > 1:
+                check_fixed_point(m)
+        # internal, push and pop states, reading or not, over one stack
+        # symbol and more
+        assert kinds >= {(one, reads, True, False) for one in (True, False)
+                         for reads in (True, False)}
+        assert kinds >= {(False, reads, internal, push) for reads in (True, False)
+                         for internal, push in ((False, True), (False, False))}
 
     def test_normal_size_counts_the_chains(self):
         rng = random.Random(39)
