@@ -31,16 +31,13 @@ def compressed_membership(a: Machine, n: int) -> bool:
 
 
 def emptiness(a: Machine) -> bool:
-    """Whether the language is empty: prefix.loop, after which the sequence
-    repeats, has no 1 (exact, by counting)."""
-    pair = udpda_to_indicator(a)
-    return slp.count(pair.word(sum(pair.lengths)), "1") == 0
+    """Whether the language is empty: the sequence has no 1."""
+    return "1" not in udpda_to_indicator(a).symbols
 
 
 def universality(a: Machine) -> bool:
-    """Whether every word is accepted: prefix.loop has no 0."""
-    pair = udpda_to_indicator(a)
-    return slp.count(pair.word(sum(pair.lengths)), "0") == 0
+    """Whether every word is accepted: the sequence has no 0."""
+    return "0" not in udpda_to_indicator(a).symbols
 
 
 def _pair_equal(x: IndicatorPair, y: IndicatorPair) -> bool:

@@ -91,7 +91,7 @@ def gen_lohrey(inst: SubsetSumInstance) -> tuple[Slp, Slp]:
     run = slp._pow_sym(st, "a", s)
     cur = st.add(("b", run) if s else ("b",))
     for w in reversed(inst.weights):
-        shifted = slp._take_sym(st, cur, st.sym_length(cur) - w)
+        shifted = slp._take_sym(st, cur, st.lengths[cur] - w)
         cur = st.add((cur, slp._pow_sym(st, "a", w), shifted) if w else (cur, shifted))
     w1 = st.build(cur)
 

@@ -207,7 +207,7 @@ def literal(word: str, alphabet: Iterable[str] | None = None) -> Slp:
 
 
 class _Store:
-    """Mutable production store used to assemble derived programs.
+    """Append-only production store used to assemble derived programs.
 
     Names are generated fresh; identical right-hand sides are merged, and a
     right-hand side consisting of a single nonterminal collapses to that
@@ -215,17 +215,21 @@ class _Store:
     program a second time therefore maps it to the same names and adds no
     production, which keeps repeated self-composition (as in the
     hardness-instance generators) polynomial in size.
+
+    `add` keeps each name's facts beside its rule, as every terminal's are
+    kept: `lengths`, `masks` (the terminal set as bits over the sorted
+    alphabet), and the `first` and `last` terminal (None for the empty word).
     """
 
     def __init__(self, alphabet: Iterable[str]):
         self.alphabet = frozenset(alphabet)
         self.productions: dict[str, tuple[str, ...]] = {}
-        self.lengths: dict[str, int] = {}
+        self.lengths = dict.fromkeys(self.alphabet, 1)
+        self.masks = {t: 1 << i for i, t in enumerate(sorted(self.alphabet))}
+        self.first: dict[str, str | None] = {t: t for t in self.alphabet}
+        self.last = dict(self.first)
         self._memo: dict[tuple[str, ...], str] = {}
         self._next = 0
-
-    def sym_length(self, sym: str) -> int:
-        return 1 if sym in self.alphabet else self.lengths[sym]
 
     def add(self, rhs) -> str:
         rhs = tuple(rhs)
@@ -236,8 +240,17 @@ class _Store:
             self._next += 1
             name = f"n{self._next}"
             self.productions[name] = rhs
-            alphabet, lengths = self.alphabet, self.lengths
-            lengths[name] = sum([1 if s in alphabet else lengths[s] for s in rhs])
+            lengths, masks, first, last = self.lengths, self.masks, self.first, self.last
+            n, mask, head, tail = 0, 0, None, None
+            for s in rhs:
+                k = lengths[s]
+                if k:
+                    n += k
+                    mask |= masks[s]
+                    tail = last[s]
+                    if head is None:
+                        head = first[s]
+            lengths[name], masks[name], first[name], last[name] = n, mask, head, tail
             self._memo[rhs] = name
         return name
 
@@ -247,25 +260,16 @@ class _Store:
         With termmap, every terminal is replaced by its image word on the
         way in (the image must use this store's alphabet).
         """
-        mapping: dict[str, str] = {}
+        # every symbol's word here: a terminal's image, a name's local name
+        words = {t: (t,) if termmap is None else tuple(termmap[t]) for t in p.alphabet}
         for name in _toposort(p, [p.axiom]):
-            parts: list[str] = []
-            for s in p.productions[name]:
-                if s in p.alphabet:
-                    if termmap is None:
-                        parts.append(s)
-                    else:
-                        parts.extend(termmap[s])
-                else:
-                    parts.append(mapping[s])
-            mapping[name] = self.add(parts)
-        return mapping[p.axiom]
+            words[name] = (self.add([s for sym in p.productions[name] for s in words[sym]]),)
+        return words[p.axiom][0]
 
     def canonical(self, axiom_sym: str) -> tuple[dict[str, tuple[str, ...]], dict[str, int]]:
         """Productions and lengths of the grammar reachable from axiom_sym,
         renamed N0, N1, ... in first-visit order with the axiom first."""
-        if axiom_sym in self.alphabet:
-            axiom_sym = self.add((axiom_sym,))
+        axiom_sym = self.add((axiom_sym,))  # a terminal gets a name
         names = {axiom_sym: "N0"}
         queue = [axiom_sym]
         while queue:
@@ -288,7 +292,7 @@ class _Store:
         """sym's word as a program that shares this store's productions and
         lengths, with no copy: for readers that walk from the axiom, never
         for output (its names are the store's, and the store may grow)."""
-        p = Slp(self.alphabet, (), self.add((sym,)) if sym in self.alphabet else sym)
+        p = Slp(self.alphabet, (), self.add((sym,)))
         p.productions, p._len_cache = self.productions, self.lengths
         return p
 
@@ -300,11 +304,11 @@ def _take_sym(st: _Store, sym: str, k: int) -> str:
     interpreter's recursion budget.
     """
     spine: list[list[str]] = []  # fully kept prefix children, outermost first
-    while 0 < k < st.sym_length(sym):
+    while 0 < k < st.lengths[sym]:
         kept: list[str] = []
         child = sym
         for child in st.productions[sym]:
-            n = st.sym_length(child)
+            n = st.lengths[child]
             if n > k:
                 break
             kept.append(child)
@@ -325,11 +329,11 @@ def _take_sym(st: _Store, sym: str, k: int) -> str:
 def _drop_sym(st: _Store, sym: str, k: int) -> str:
     """Name for sym's word with the first k symbols removed (iterative)."""
     spine: list[tuple[str, ...]] = []  # fully kept suffix children per level
-    while 0 < k < st.sym_length(sym):
+    while 0 < k < st.lengths[sym]:
         rhs = st.productions[sym]
         i = 0
         for i, child in enumerate(rhs):
-            n = st.sym_length(child)
+            n = st.lengths[child]
             if k < n:
                 break
             k -= n
@@ -353,7 +357,7 @@ def _pow_sym(st: _Store, sym: str, k: int) -> str:
         k >>= 1
         if k:
             cur = st.add((cur, cur))
-    return st.add((acc,)) if acc in st.alphabet else acc
+    return st.add((acc,))
 
 
 def concat(p1: Slp, p2: Slp) -> Slp:
@@ -413,12 +417,17 @@ def substitute(p: Slp, images: Mapping[str, str], alphabet: Iterable[str] | None
     """Homomorphic image: every terminal is replaced by its image word.
 
     The target alphabet defaults to the union of the image words' symbols.
+    A terminal with no image, or an image symbol outside the given
+    alphabet, raises AlphabetMismatch.
     """
     missing = p.alphabet - images.keys()
     if missing:
-        raise KeyError(f"no image for terminal(s) {sorted(missing)}")
-    if alphabet is None:
-        alphabet = {ch for sym in p.alphabet for ch in images[sym]}
+        raise AlphabetMismatch(f"no image for terminal(s) {sorted(missing)}")
+    used = {ch for sym in p.alphabet for ch in images[sym]}
+    alphabet = used if alphabet is None else set(alphabet)
+    if not used <= alphabet:
+        raise AlphabetMismatch(
+            f"image symbol(s) {sorted(used - alphabet)} not in {sorted(alphabet)}")
     st = _Store(alphabet)
     return st.build(st.imp(p, termmap=images))
 

@@ -43,14 +43,14 @@ def _cut(st: slp._Store, pre: str, loop: str, n: int, start: int) -> str:
     rotated loop."""
     if min(n, start) < 0:
         raise BadRange(f"negative window: length {format_int(n)}, start {format_int(start)}")
-    plen = st.sym_length(pre)
+    plen = st.lengths[pre]
     if start + n <= plen:
         return slp._take_sym(st, slp._drop_sym(st, pre, start), n)
     parts = [slp._drop_sym(st, pre, start)] if start < plen else []
-    s = max(start - plen, 0) % st.sym_length(loop)
+    s = max(start - plen, 0) % st.lengths[loop]
     if s:
         loop = st.add((slp._drop_sym(st, loop, s), slp._take_sym(st, loop, s)))
-    q, r = divmod(start + n - max(start, plen), st.sym_length(loop))
+    q, r = divmod(start + n - max(start, plen), st.lengths[loop])
     if q:
         parts.append(slp._pow_sym(st, loop, q))
     if r:
@@ -70,7 +70,7 @@ class _Pair:
     def __init__(self, prefix: Slp, loop: Slp):
         st = slp._Store(self.ALPHABET)
         self._st, self._pre, self._loop = st, _import(st, prefix), _import(st, loop)
-        if not st.sym_length(self._loop):
+        if not st.lengths[self._loop]:
             raise MalformedPair(f"{self.KIND} pair needs a nonempty loop")
 
     @classmethod
@@ -98,7 +98,13 @@ class _Pair:
 
     @property
     def lengths(self) -> tuple[int, int]:
-        return self._st.sym_length(self._pre), self._st.sym_length(self._loop)
+        return self._st.lengths[self._pre], self._st.lengths[self._loop]
+
+    @property
+    def symbols(self) -> set[str]:
+        """The symbols of prefix.loop^omega: those of the prefix and the loop."""
+        masks = self._st.masks
+        return {t for t in self.ALPHABET if masks[t] & (masks[self._pre] | masks[self._loop])}
 
     def word(self, n: int, start: int = 0) -> Slp:
         """window(n, start) read in place (slp._Store.word): never for output."""
@@ -274,7 +280,7 @@ def indicator_to_udpda(ip: IndicatorPair) -> NormalUdpda:
     loop_entry, loop_exit = _slp_machine(g, st, loop, "l")
     g.internal[loop_exit] = loop_entry
     entry = loop_entry
-    if st.sym_length(tail):
+    if st.lengths[tail]:
         entry, tail_exit = _slp_machine(g, st, tail, "p")
         g.internal[tail_exit] = loop_entry
     g.internal["start"] = entry
@@ -457,7 +463,7 @@ class TranscriptWorkspace:
         """The transcript pair in the workspace's store, resolving only the
         states the bottom chain needs; an empty loop becomes 'a'."""
         pre, loop = self.bottom_stage()
-        if not self.store.sym_length(loop):
+        if not self.store.lengths[loop]:
             loop = self.store.add(("a",))
         return TranscriptPair._of(self.store, pre, loop)
 
@@ -479,88 +485,73 @@ def udpda_to_transcript(a: NormalUdpda | RawUnpda) -> TranscriptPair:
 
 class _FusedImage:
     """Bottom-up image of words over {a, f} under af -> 1, a -> 0 and
-    f -> empty, written into a store over {0, 1}.
+    f -> empty, from the rules of a store over {a, f} into one over {0, 1}.
 
-    Works on a store in Chomsky normal form; a production N -> A B fuses
-    when A's word ends with a and B's starts with f.  A variant that drops a
-    trailing a is produced on demand, the way the trimmed nonterminal N a^-1
-    is defined alongside the original; no variant drops a leading f, since
-    an f maps to the empty word anyway.
+    A rule's nonempty children are folded left, pair by pair: the fold so
+    far fuses with the next child when the child before ends with a and
+    that one starts with f, by the source store's first and last facts.  A
+    variant that drops a trailing a is produced on demand, the way the
+    trimmed nonterminal N a^-1 is defined alongside the original; no
+    variant drops a leading f, since an f maps to the empty word anyway.
     """
 
-    def __init__(self, store: slp._Store, cnf: slp._Store, roots):
-        self.st = store
-        self.prods = cnf.productions
-        self.first: dict[str, str] = {}
-        self.last: dict[str, str] = {}
-        for name in slp._toposort(cnf, roots):
-            rhs = self.prods[name]
-            if len(rhs) == 1:
-                self.first[name] = self.last[name] = rhs[0]
-            else:
-                self.first[name] = self.first[rhs[0]]
-                self.last[name] = self.last[rhs[1]]
-        self.memo: dict[tuple[str, bool], str] = {}
+    def __init__(self, src: slp._Store, st: slp._Store):
+        self.src, self.st = src, st
+        empty = st.add(())
+        self.memo = {("a", False): st.add(("0",)), ("a", True): empty, ("f", False): empty}
 
     def image(self, root: str, drop_a: bool = False) -> str:
         # explicit work stack: grammars may be deeper than the recursion budget
-        goal = (root, drop_a)
-        memo = self.memo
-        stack = [goal]
+        memo, plans, st = self.memo, {}, self.st
+        prods, first, last = self.src.productions, self.src.first, self.src.last
+        stack = [(root, drop_a)]
         while stack:
             key = stack[-1]
             if key in memo:
                 stack.pop()
-                continue
-            name, drop = key
-            rhs = self.prods[name]
-            if len(rhs) == 1:
-                sym = rhs[0]
-                assert not (drop and sym != "a")
-                memo[key] = self.st.add(("0",) if sym == "a" and not drop else ())
-                stack.pop()
-                continue
-            fused = self.last[rhs[0]] == "a" and self.first[rhs[1]] == "f"
-            children = ((rhs[0], fused), (rhs[1], drop))
-            pending = [c for c in children if c not in memo]
-            if pending:
-                stack.extend(pending)
-                continue
-            if fused:
-                memo[key] = self.st.add((memo[children[0]], "1", memo[children[1]]))
+            elif key not in plans:
+                # the nonempty children: each drops a trailing a iff it fuses
+                # with the next one, the last iff key drops one
+                keys, prev = [], None
+                for s in prods[key[0]]:
+                    if first[s]:
+                        if prev is not None:
+                            keys.append((prev, last[prev] == "a" and first[s] == "f"))
+                        prev = s
+                plans[key] = keys = keys if prev is None else [*keys, (prev, key[1])]
+                stack.extend(k for k in keys if k not in memo)
             else:
-                memo[key] = self.st.add((memo[children[0]], memo[children[1]]))
-            stack.pop()
-        return memo[goal]
+                stack.pop()
+                cur = None
+                for k in plans[key]:
+                    part = memo[k]
+                    cur = part if cur is None else st.add((cur, "1", part) if fuse else (cur, part))
+                    fuse = k[1]
+                memo[key] = st.add(()) if cur is None else cur
+        return memo[root, drop_a]
 
 
 def _characteristic(src: slp._Store, prefix: str, loop: str) -> IndicatorPair:
     """Indicator pair for the transcript pair (prefix, loop), the loop
     nonempty, of a store over {a, f}; see transcript_to_characteristic."""
-    cnf = slp._Store(EVENT_ALPHABET)
-    pre_c, loop_c = slp._cnf(src, prefix, cnf), slp._cnf(src, loop, cnf)
-    st = slp._Store(BIT_ALPHABET)
-    img = _FusedImage(st, cnf, [r for r in (pre_c, loop_c) if r])
-    w = img.image(loop_c)
-    if not st.sym_length(w):
+    if not src.masks[loop] & src.masks["a"]:
         # every a yields one bit, so the loop has none: the machine stops
         # reading; pad with a's, keeping one f of the loop
         return _characteristic(src, src.add((prefix, "f")), src.add(("a",)))
-
-    loop_first, loop_last = img.first[loop_c], img.last[loop_c]
-    pre_last = img.last[pre_c] if pre_c else None
-    first_bit = img.first[pre_c or loop_c] == "f"
-    u = img.image(pre_c) if pre_c else st.add(())
-    if loop_first == "f" and loop_last == "a":
+    st = slp._Store(BIT_ALPHABET)
+    img = _FusedImage(src, st)
+    first, last = src.first, src.last
+    u, w = img.image(prefix), img.image(loop)
+    if first[loop] == "f" and last[loop] == "a":
         # every junction fuses: the loop loses its leading f and trailing a
-        w = st.add((img.image(loop_c, drop_a=True), "1"))
-        if pre_last == "a":
-            u = st.add((img.image(pre_c, drop_a=True), "1"))
-    elif loop_first == "f" and pre_last == "a":
+        w = st.add((img.image(loop, drop_a=True), "1"))
+        if last[prefix] == "a":
+            u = st.add((img.image(prefix, drop_a=True), "1"))
+    elif first[loop] == "f" and last[prefix] == "a":
         # only the first junction can fuse
-        u = st.add((img.image(pre_c, drop_a=True), "1"))
+        u = st.add((img.image(prefix, drop_a=True), "1"))
 
-    head = st.add(("1" if first_bit else "0",))
+    head = st.add(("1" if (first[prefix] or first[loop]) == "f" else "0",))
     return IndicatorPair._of(st, st.add((head, u)), w)
 
 

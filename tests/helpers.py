@@ -165,6 +165,23 @@ def check_fixed_point(m: NormalUdpda):
     assert (again.initial, again.finals) == (m.initial, m.finals)
 
 
+def events_to_bits(stream: str) -> str:
+    """Characteristic bits an event stream defines, by a scan: bit i is 1
+    iff an f sits between the i-th and the (i+1)-th a (bit 0: an f before
+    the first a).  That is the first bit apart, then the image under
+    af -> 1, a -> 0 and f -> empty, less the bit of the last a, which the
+    rest of the stream decides."""
+    out = []
+    seen_f = False
+    for sym in stream:
+        if sym == "f":
+            seen_f = True
+        else:
+            out.append("1" if seen_f else "0")
+            seen_f = False
+    return "".join(out)
+
+
 # ---------------------------------------------------------------------------
 # Independent machine oracle (textbook semantics, raw machines)
 

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from pdapress import cli, slp
+from pdapress import cli, slp, translate
 from pdapress.errors import (
     AlphabetMismatch,
     BadRange,
@@ -74,6 +74,41 @@ class TestStore:
         prods = dict(st.productions)
         assert st.imp(P0) == name and st.productions == prods
         assert st.imp(slp.parse_slp(slp.format_slp(P0))) == name and st.productions == prods
+
+    @pytest.mark.parametrize("alphabet", ["01", "abc"])
+    def test_facts_match_the_expansion(self, alphabet):
+        # every name's length, terminal set, first and last terminal, kept
+        # at insert, against its expanded word: random programs with eps and
+        # chain productions, cut, powered and sliced in one store
+        rng = random.Random(61)
+        st = slp._Store(alphabet)
+        eps_chain = slp.parse_slp(f"alphabet: {alphabet}\nS -> E A E B\nA -> E E\n"
+                                  f"B -> C\nC -> {alphabet[-1]} E A {alphabet[0]}\nE -> eps\n")
+        names = [st.imp(eps_chain), st.add(())]
+        for _ in range(40):
+            names.append(st.imp(random_slp(rng, alphabet, max_len=60)))
+        for _ in range(150):
+            sym = rng.choice(names)
+            n = st.lengths[sym]
+            op = rng.randrange(4)
+            if op == 0:
+                names.append(slp._take_sym(st, sym, rng.randint(0, n)))
+            elif op == 1:
+                names.append(slp._drop_sym(st, sym, rng.randint(0, n)))
+            elif op == 2 and n <= 60:
+                names.append(slp._pow_sym(st, sym, rng.randint(0, 4)))
+            else:
+                loop = rng.choice([x for x in names if st.lengths[x]])
+                names.append(translate._cut(st, sym, loop, rng.randint(0, 80), rng.randint(0, 80)))
+        zero = [name for name in st.productions if not st.lengths[name]]
+        assert len(zero) > 1  # not only add(())
+        order = sorted(alphabet)
+        for name in [*alphabet, *st.productions]:
+            word = slp.expand(st.word(name), 10**5)
+            assert st.lengths[name] == len(word), name
+            assert st.masks[name] == sum(1 << order.index(t) for t in set(word)), name
+            assert st.first[name] == (word[0] if word else None), name
+            assert st.last[name] == (word[-1] if word else None), name
 
     def test_self_concatenation_stays_small(self):
         p = P0
@@ -219,6 +254,17 @@ class TestWordAlgebra:
         assert slp.expand(slp.substitute(slp.literal("01"), {"0": "a", "1": "af"}), 10) == "aaf"
         assert slp.expand(slp.substitute(P0, {"0": "0", "1": "1"}), 10) == "0110"
         assert slp.expand(slp.substitute(P0, {"0": "0", "1": ""}), 10) == "00"
+
+    def test_substitute_terminal_without_image(self):
+        with pytest.raises(AlphabetMismatch, match=r"no image for terminal\(s\) \['b'\]"):
+            slp.substitute(slp.literal("ab"), {"a": "x"})
+
+    def test_substitute_image_outside_the_alphabet(self):
+        with pytest.raises(AlphabetMismatch, match=r"image symbol\(s\) \['x', 'y'\] not in"):
+            slp.substitute(slp.literal("ab"), {"a": "x", "b": "y"}, "01")
+        # an image of a terminal the program lacks is not looked at
+        p = slp.substitute(slp.literal("a"), {"a": "0", "b": "x"}, "01")
+        assert slp.expand(p, 5) == "0"
 
     def test_trim(self):
         assert slp.expand(slp.trim(slp.literal("0110", "01"), "back", "0"), 10) == "011"

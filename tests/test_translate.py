@@ -24,6 +24,7 @@ from helpers import (
     CheckedWorkspace,
     checked_transcript,
     collect_events,
+    events_to_bits,
     handcrafted_machines,
     machine_even,
     machine_loop,
@@ -339,19 +340,6 @@ class TestOnDemandNormalization:
 
 
 class TestTranscriptToCharacteristic:
-    def oracle(self, stream):
-        """Definition-level scan: bit i is 1 iff an f sits between the i-th
-        and (i+1)-th a of the stream."""
-        out = []
-        seen_f = False
-        for sym in stream:
-            if sym == "f":
-                seen_f = True
-            else:
-                out.append("1" if seen_f else "0")
-                seen_f = False
-        return "".join(out)
-
     @pytest.mark.parametrize(
         "prefix,loop,want",
         [
@@ -373,7 +361,7 @@ class TestTranscriptToCharacteristic:
         tp = TranscriptPair(events(prefix), events(loop))
         got = transcript_to_characteristic(tp).sequence(16)
         stream = prefix + loop * ((64 - len(prefix)) // len(loop) + 1)
-        expect = self.oracle(stream)[:16] if want is None else want
+        expect = events_to_bits(stream)[:16] if want is None else want
         assert got == expect
 
     def test_against_definition_oracle_random(self):
@@ -384,9 +372,39 @@ class TestTranscriptToCharacteristic:
             tp = TranscriptPair(events(prefix), events(loop))
             got = transcript_to_characteristic(tp)
             stream = prefix + loop * ((200 - len(prefix)) // len(loop) + 1)
-            want = self.oracle(stream)
+            want = events_to_bits(stream)
             n = min(len(want), 64)
             assert got.sequence(n) == want[:n], (prefix, loop)
+
+    def test_reads_the_transcript_store_with_no_cnf_copy(self, monkeypatch):
+        # the stage writes bits straight from the transcript store's rules
+        # and its first and last facts: no Chomsky normal form copy and no
+        # topological pass, on handcrafted machines and on a parsed pair with
+        # eps and chain productions (so zero-length children and rules of
+        # other widths)
+        text = ("kind: transcript\nalphabet: af\nP -> E A f E A a\nA -> B\nB -> a f E\n"
+                "E -> eps\n---\nalphabet: af\nL -> Z f f C a Z a\nC -> Z\nZ -> eps\n")
+        parsed = translate.parse_pair(text)
+        machines = handcrafted_machines()
+        transcripts = [udpda_to_transcript(m) for _, m in machines]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a CNF copy or a topological pass")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(slp, "_cnf", refuse)
+            patch.setattr(slp, "_toposort", refuse)
+            pairs = [udpda_to_indicator(m) for _, m in machines]
+            from_parsed = transcript_to_characteristic(parsed)
+        for (label, m), tp, ip in zip(machines, transcripts, pairs):
+            stream = tp.sequence(slp.length(tp.prefix) + 64 * slp.length(tp.loop))
+            want = events_to_bits(stream)[:64]
+            assert ip.sequence(len(want)) == want, label
+            assert ip.sequence(40) == udpda.run_prefix(m, 40), label
+        stream = parsed.sequence(200)
+        assert stream.startswith("affafa" + "ffaa" * 3)
+        want = events_to_bits(stream)[:64]
+        assert from_parsed.sequence(64) == want
 
     def test_compressed_inputs(self):
         # long transcripts stay compressed end to end
