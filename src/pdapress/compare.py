@@ -3,7 +3,7 @@
 The engine walks both grammars in lockstep over aligned blocks and reports
 the least position where the symbol relation fails.  A block is skipped
 whole when its symbols cannot take part in a violation, when both sides
-are the same nonterminal of the same program at the same offset, or when
+are the same name of the same grammar store at the same offset, or when
 the same pair of blocks at the same offsets was already walked clean (a
 bounded memo); short blocks are compared as expanded strings.  Repetitive
 words, whose aligned block pairs recur, are thus walked once per distinct
@@ -15,14 +15,14 @@ nontermination.
 
 A side that is structurally a power B^k of a short base (|B| at most
 PERIOD_CAP) is decided exactly from residue classes modulo |B| once the
-walk has examined as many blocks as both programs have symbols: work
+walk has examined as many blocks as the store has symbols: work
 pseudo-polynomial in the period, with no dependence on k.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import count, groupby
+from itertools import groupby
 from typing import Iterable
 
 from . import slp
@@ -108,58 +108,41 @@ WILDCARD = SymbolRelation(
 
 
 class _View:
-    """One program as the block walk sees it.
+    """One side of the block walk: a name of a grammar store, read in place
+    with the store's lengths and masks.  Short texts are spelled on first
+    use, and a wide literal rule is walked in chunks of at most BLOCK
+    terminals, each chunk a store name."""
 
-    Keys are nonterminal names, terminals, and ints naming chunks of at
-    most BLOCK consecutive terminals of one right-hand side, so that a wide
-    literal production is walked a chunk, not a position, at a time.  Only
-    the symbols reachable from the axiom are looked at.
-    """
+    def __init__(self, st: slp._Store, root: str):
+        self.st, self.root = st, root
+        self.prods, self.lens, self.masks = st.productions, st.lengths, st.masks
+        self.texts = {t: t for t in st.alphabet}
+        self._kids: dict[str, list[str]] = {}
 
-    def __init__(self, p: Slp, bits: dict[str, int]):
-        self.prods = p.productions
-        self.alphabet = p.alphabet
-        self.axiom = p.axiom
-        self.lens = lens = dict.fromkeys(p.alphabet, 1)
-        self.masks = {t: bits[t] for t in p.alphabet}
-        self.texts = {t: t for t in p.alphabet}
-        self.order = slp._toposort(p, [p.axiom])
-        self.size = 0  # symbols on the reachable right-hand sides
-        for name in self.order:
-            rhs = self.prods[name]
-            lens[name] = sum(map(lens.__getitem__, rhs))
-            self.size += len(rhs)
-            self.masks[name] = self._mask(rhs)
-            if lens[name] <= BLOCK:
-                self.texts[name] = "".join(map(self.texts.__getitem__, rhs))
-        self._kids: dict[str, list] = {}
-        self._fresh = count()
+    def text(self, sym: str) -> str:
+        """sym's word, spelled once, children first, on an explicit stack: a
+        short word may still sit on a chain deeper than the recursion budget."""
+        texts, stack = self.texts, [sym]
+        while sym not in texts:
+            rhs = self.prods[stack[-1]]
+            if todo := [k for k in rhs if k not in texts]:
+                stack += todo
+            else:
+                texts[stack.pop()] = "".join(map(texts.__getitem__, rhs))
+        return texts[sym]
 
-    def _mask(self, syms) -> int:
-        mask = 0
-        for sym in set(syms):
-            mask |= self.masks[sym]
-        return mask
-
-    def children(self, sym: str) -> list:
+    def children(self, sym: str) -> list[str]:
         """sym's right-hand side with terminal runs chunked, reversed for a stack."""
         kids = self._kids.get(sym)
         if kids is None:
             kids = []
-            for terminal, group in groupby(self.prods[sym], self.alphabet.__contains__):
+            for terminal, group in groupby(self.prods[sym], self.st.alphabet.__contains__):
                 if not terminal:
                     kids.extend(group)
                     continue
-                run = "".join(group)
-                for i in range(0, len(run), BLOCK):
-                    chunk = run[i:i + BLOCK]
-                    if len(chunk) > 1:
-                        key = next(self._fresh)
-                        self.lens[key] = len(chunk)
-                        self.masks[key] = self._mask(chunk)
-                        self.texts[key] = chunk
-                        chunk = key
-                    kids.append(chunk)
+                run = tuple(group)
+                chunks = (run[i:i + BLOCK] for i in range(0, len(run), BLOCK))
+                kids += [c[0] if len(c) == 1 else self.st.add(c) for c in chunks]
             kids.reverse()
             self._kids[sym] = kids
         return kids
@@ -182,16 +165,16 @@ def _power_base(g: _View) -> str | None:
     """The base B when g's word is structurally B^k with k >= 2 and
     |B| <= PERIOD_CAP, else None.
 
-    Bottom-up, a nonterminal whose nonempty children all share one base is
-    a power of that base; any other nonterminal is its own base.
+    Over the store in creation order, a name whose nonempty children all
+    share one base is a power of that base; any other is its own base.
     """
     lens = g.lens
-    base = {t: t for t in g.alphabet}
-    for name in g.order:
-        kids = {base[sym] for sym in g.prods[name] if lens[sym]}
+    base = {t: t for t in g.st.alphabet}
+    for name, rhs in g.prods.items():
+        kids = {base[sym] for sym in rhs if lens[sym]}
         base[name] = kids.pop() if len(kids) == 1 else name
-    b = base[g.axiom]
-    return b if 2 * lens[b] <= lens[g.axiom] and lens[b] <= PERIOD_CAP else None
+    b = base[g.root]
+    return b if 2 * lens[b] <= lens[g.root] and lens[b] <= PERIOD_CAP else None
 
 
 def _short_power(g1: _View, g2: _View):
@@ -209,14 +192,14 @@ def _short_power(g1: _View, g2: _View):
 def _residues(g: _View, x: str, d: int) -> dict:
     """Per symbol whose word holds x, the d-bit mask of the residues modulo d
     of the positions of x: the OR of its children's masks, each rotated by
-    the child's offset."""
+    the child's offset, folded over the store in creation order."""
     full = (1 << d) - 1
     occ = {x: 1}
-    bit, lens = g.masks[x], g.lens
-    for name in g.order:
-        if g.masks[name] & bit:
+    bit, lens, masks = g.masks[x], g.lens, g.masks
+    for name, rhs in g.prods.items():
+        if masks[name] & bit:
             mask = off = 0
-            for sym in g.prods[name]:
+            for sym in rhs:
                 m = occ.get(sym)
                 if m:
                     mask |= m << off | m >> d - off
@@ -237,10 +220,10 @@ def _least_violation(g: _View, want: dict[str, int], d: int) -> int | None:
                 return True
         return False
 
-    sym, pos = g.axiom, 0
+    sym, pos = g.root, 0
     if not hit(sym, 0):
         return None
-    while sym not in g.alphabet:
+    while sym not in g.st.alphabet:
         for sym in g.prods[sym]:
             if hit(sym, pos % d):
                 break
@@ -259,10 +242,9 @@ def _residue_witness(d: int, power: _View, base: str, other: _View, on_right: bo
     at: dict[str, int] = {}  # per symbol of the power side, its positions in base
     want: dict[str, int] = {}
     for x, y in bad if on_right else {(y, x) for x, y in bad}:
-        if x in other.alphabet and y in power.alphabet:
-            if y not in at:
-                at[y] = _residues(power, y, d).get(base, 0)
-            want[x] = want.get(x, 0) | at[y]
+        if y not in at:
+            at[y] = _residues(power, y, d).get(base, 0)
+        want[x] = want.get(x, 0) | at[y]
     return _least_violation(other, {x: m for x, m in want.items() if m}, d)
 
 
@@ -280,13 +262,14 @@ def comp_slp(
     that covers the positions up to the answer also covers its blocks.  A
     negative budget raises BadRange.
 
-    Both sides keep a stack of pending symbols and an offset into the top
-    one.  At each step the first rule that fits decides the two tops:
+    Both programs are imported into one store (equal subprograms are one
+    name there); both sides keep a stack of pending symbols and an offset
+    into the top one.  At each step the first rule that fits decides:
 
     (a) every symbol of the left block is related to every symbol: skip it;
     (b) every symbol is related to every symbol of the right block: skip it;
-    (c) programs equal up to names, same top symbol at the same offset:
-        skip it, since the relation is reflexive;
+    (c) the same store name at the same offset: skip it, since the
+        relation is reflexive;
     (d) both blocks at most BLOCK long: compare their expansions;
     (e) the same two tops at the same offsets were split before and walked
         clean: skip the shorter remainder, since it spells the same
@@ -301,18 +284,18 @@ def comp_slp(
     pair that comes up again was walked clean.  (d) never sees a
     remembered pair, as (f) splits none that (d) takes.
 
-    Residues.  Once the walk has examined as many blocks as both programs
-    have symbols without an answer, it looks once for a side that is
+    Residues.  Once the walk has examined as many blocks as the store has
+    symbols without an answer, it looks once for a side that is
     structurally a power B^k, k >= 2, of a base of d <= PERIOD_CAP symbols
     (the shorter base if both are).  If there is one, the check decides:
-    per nonterminal of the other side and per symbol x that can violate, a
-    d-bit mask of the residues mod d where x occurs, tested against the
-    residues where B holds a symbol x is not related to; a hit leads one
-    left-first descent to the least witness.  The decision counts as one
-    more block.  The walk's blocks cover at most the positions it checked
-    clean, which are fewer than the answer needs, so the accounting above
-    still holds; and a violation within the first blocks never pays for
-    the masks.  The result's period is then d.
+    per name of the store, in creation order (children first), and per
+    symbol x that can violate, a d-bit mask of the residues mod d where x
+    occurs, tested against the residues where B holds a symbol x is not
+    related to; a hit leads one left-first descent to the least witness.
+    The decision counts as one more block.  The walk's blocks cover at most
+    the positions it checked clean, which are fewer than the answer needs,
+    so the accounting above still holds; and a violation within the first
+    blocks never pays for the masks.  The result's period is then d.
     """
     if budget < 0:
         raise BadRange(f"budget {format_int(budget)} is negative")
@@ -321,23 +304,27 @@ def comp_slp(
         raise LengthMismatch(f"lengths {format_int(n)} and {format_int(slp.length(p2))} differ")
     if not p1.alphabet <= relation.alphabet or not p2.alphabet <= relation.alphabet:
         raise ValueError("word alphabets must be contained in the relation's alphabet")
-    bits = {x: 1 << i for i, x in enumerate(sorted(relation.alphabet))}
+    st = slp._Store(relation.alphabet)
+    return _walk((st, st.imp(p1)), (st, st.imp(p2)), relation, budget)
+
+
+def _walk(side1: tuple, side2: tuple, relation: SymbolRelation, budget: int) -> CheckResult:
+    """comp_slp's walk over equal-length (store, name) sides, both stores
+    over the relation's alphabet; budget >= 0."""
+    g1, g2 = _View(*side1), _View(*side2)
     bad = {(x, y) for x in relation.alphabet for y in relation.alphabet
            if not relation.holds(x, y)}
-    bad1 = sum(bits[x] for x in {x for x, _ in bad})
-    bad2 = sum(bits[y] for y in {y for _, y in bad})
-    g1, g2 = _View(p1, bits), _View(p2, bits)
-    # programs equal up to names, whose children-first orders then
-    # correspond, are one program: walk it against itself
-    name = dict(zip(g1.order, g2.order))
-    same = len(g1.order) == len(g2.order) and g1.alphabet == g2.alphabet and all(
-        tuple(name.get(s, s) for s in g1.prods[a]) == g2.prods[b] for a, b in name.items())
-    g2 = g1 if same else g2
     lens1, masks1, lens2, masks2 = g1.lens, g1.masks, g2.lens, g2.masks
-    st1, st2 = [g1.axiom], [g2.axiom]
+    bad1 = sum(masks1[x] for x in {x for x, _ in bad})
+    bad2 = sum(masks2[y] for y in {y for _, y in bad})
+    same = g1.st is g2.st
+    # the walk's blocks before it looks for a short power: the store symbols
+    sizes = {id(g.st): sum(map(len, g.prods.values())) for g in (g1, g2)}
+    stop = min(budget, sum(sizes.values()))
+    n = lens1[g1.root]
+    st1, st2 = [g1.root], [g2.root]
     off1 = off2 = pos = visited = 0
     clean = set()
-    stop = min(budget, g1.size + g2.size)  # the walk's blocks before it looks for a short power
     while pos < n:
         if visited >= stop:
             if visited >= budget:
@@ -356,7 +343,7 @@ def comp_slp(
         elif not masks2[b] & bad2:
             step = l2 - off2
         elif l1 <= BLOCK and l2 <= BLOCK:
-            s1, s2 = g1.texts[a][off1:], g2.texts[b][off2:]
+            s1, s2 = g1.text(a)[off1:], g2.text(b)[off2:]
             step = min(len(s1), len(s2))
             if s1[:step] != s2[:step]:
                 for i, pair in enumerate(zip(s1, s2)):

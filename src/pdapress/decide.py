@@ -2,10 +2,10 @@
 
 Membership, emptiness, universality and equivalence stay polynomial; the
 words involved are only ever handled in compressed form, as windows cut
-from prefix.loop^omega by `IndicatorPair.word` and read where the pair's
-grammar lives, with no copy.  Equivalence is one `slp.equal` of two
-windows; inclusion is one componentwise comparison (coNP-complete), with
-that check's explicit work budget.
+from prefix.loop^omega and read in place, in one store for a decision's
+two pairs.  Equivalence is one `slp.equal` of two windows (none if they
+are one name); inclusion is one componentwise comparison (coNP-complete)
+of the windows in place, with that check's explicit work budget.
 """
 
 from __future__ import annotations
@@ -13,9 +13,9 @@ from __future__ import annotations
 import math
 
 from . import slp
-from .compare import DEFAULT_BUDGET, ZERO_LEQ_ONE, CheckResult, comp_slp
+from .compare import DEFAULT_BUDGET, ZERO_LEQ_ONE, CheckResult, _walk
 from .errors import BadRange, format_int
-from .translate import IndicatorPair, udpda_to_indicator
+from .translate import IndicatorPair, _indicator_pairs, udpda_to_indicator
 from .udpda import NormalUdpda, RawUnpda
 
 Machine = RawUnpda | NormalUdpda
@@ -52,22 +52,24 @@ def _pair_equal(x: IndicatorPair, y: IndicatorPair) -> bool:
     """
     (p1, k1), (p2, k2) = x.lengths, y.lengths
     n = max(p1, p2) + k1 + k2 - math.gcd(k1, k2)
-    return slp.equal(x.word(n), y.word(n))
+    return x.cut(n) == y.cut(n) or slp.equal(x.word(n), y.word(n))  # one name of one store
 
 
 def equivalence(a1: Machine, a2: Machine) -> bool:
     """Whether two machines accept the same language."""
-    return _pair_equal(udpda_to_indicator(a1), udpda_to_indicator(a2))
+    return _pair_equal(*_indicator_pairs(a1, a2))
 
 
 def _pair_included(x: IndicatorPair, y: IndicatorPair, budget: int) -> CheckResult:
     """Whether x's sequence is below y's at every position (see inclusion)."""
+    if budget < 0:
+        raise BadRange(f"budget {format_int(budget)} is negative")
     (p1, k1), (p2, k2) = x.lengths, y.lengths
     p, span = max(p1, p2), math.lcm(k1, k2)
-    head = comp_slp(x.word(p), y.word(p), ZERO_LEQ_ONE, budget)
+    head = _walk(x.cut(p), y.cut(p), ZERO_LEQ_ONE, budget)
     if not head.holds:
         return head
-    tail = comp_slp(x.word(span, p), y.word(span, p), ZERO_LEQ_ONE, budget - head.visited)
+    tail = _walk(x.cut(span, p), y.cut(span, p), ZERO_LEQ_ONE, budget - head.visited)
     return CheckResult(tail.verdict, None if tail.witness is None else p + tail.witness,
                        head.visited + tail.visited, p + tail.checked,
                        tail.period or head.period)
@@ -91,4 +93,4 @@ def inclusion(a1: Machine, a2: Machine, budget: int = DEFAULT_BUDGET) -> CheckRe
     machine sizes and the blocks may be too; running out of budget is then
     the honest answer.
     """
-    return _pair_included(udpda_to_indicator(a1), udpda_to_indicator(a2), budget)
+    return _pair_included(*_indicator_pairs(a1, a2), budget)

@@ -106,9 +106,13 @@ class _Pair:
         masks = self._st.masks
         return {t for t in self.ALPHABET if masks[t] & (masks[self._pre] | masks[self._loop])}
 
+    def cut(self, n: int, start: int = 0) -> tuple[slp._Store, str]:
+        """The store and the name of window(n, start), read in place."""
+        return self._st, _cut(self._st, self._pre, self._loop, n, start)
+
     def word(self, n: int, start: int = 0) -> Slp:
         """window(n, start) read in place (slp._Store.word): never for output."""
-        return self._st.word(_cut(self._st, self._pre, self._loop, n, start))
+        return self._st.word(self.cut(n, start)[1])
 
     def window(self, n: int, start: int = 0) -> Slp:
         """Canonical program for characters [start, start + n) of prefix.loop^omega."""
@@ -531,14 +535,13 @@ class _FusedImage:
         return memo[root, drop_a]
 
 
-def _characteristic(src: slp._Store, prefix: str, loop: str) -> IndicatorPair:
-    """Indicator pair for the transcript pair (prefix, loop), the loop
-    nonempty, of a store over {a, f}; see transcript_to_characteristic."""
+def _characteristic(src: slp._Store, prefix: str, loop: str, st: slp._Store) -> IndicatorPair:
+    """Indicator pair, written into st, for the transcript pair (prefix,
+    loop), the loop nonempty, of a store over {a, f}; see below."""
     if not src.masks[loop] & src.masks["a"]:
         # every a yields one bit, so the loop has none: the machine stops
         # reading; pad with a's, keeping one f of the loop
-        return _characteristic(src, src.add((prefix, "f")), src.add(("a",)))
-    st = slp._Store(BIT_ALPHABET)
+        return _characteristic(src, src.add((prefix, "f")), src.add(("a",)), st)
     img = _FusedImage(src, st)
     first, last = src.first, src.last
     u, w = img.image(prefix), img.image(loop)
@@ -565,14 +568,20 @@ def transcript_to_characteristic(tp: TranscriptPair) -> IndicatorPair:
     without any a (the machine stops reading) is first replaced by a plain
     'a' loop, moving its single meaningful f, if any, into the prefix.
     """
-    return _characteristic(tp._st, tp._pre, tp._loop)
+    return _characteristic(tp._st, tp._pre, tp._loop, slp._Store(BIT_ALPHABET))
 
 
 def udpda_to_indicator(a: RawUnpda | NormalUdpda) -> IndicatorPair:
     """Indicator pair for the machine's language (the full pipeline); a raw
     machine is normalized on demand."""
-    tp = TranscriptWorkspace(a).transcript()
-    return _characteristic(tp._st, tp._pre, tp._loop)
+    return _indicator_pairs(a)[0]
+
+
+def _indicator_pairs(*machines: RawUnpda | NormalUdpda) -> list[IndicatorPair]:
+    """udpda_to_indicator of each machine, all in one store."""
+    st = slp._Store(BIT_ALPHABET)
+    return [_characteristic(tp._st, tp._pre, tp._loop, st)
+            for tp in (TranscriptWorkspace(a).transcript() for a in machines)]
 
 
 # ---------------------------------------------------------------------------

@@ -413,6 +413,13 @@ class TestCheckOutputs:
         assert run(capsys, "decide", "included", files / "even.updpa", files / "loop.updpa",
                    "--budget", "-1") == want
 
+    def test_foreign_alphabet_exits_2(self, files, capsys, tmp_path):
+        ab = tmp_path / "ab.slp"
+        ab.write_text(slp.format_slp(slp.literal("aba", "ab")))
+        want = (2, "", "error: word alphabets must be contained in the relation's alphabet")
+        assert run(capsys, "slp", "compare", ab, files / "p101.slp") == want
+        assert run(capsys, "slp", "compare", files / "p101.slp", ab) == want
+
     @pytest.mark.parametrize("text, problem", [
         ("alphabet: 01\nS -> 0 X\n", "missing production X"),
         ("alphabet: 01\nS -> 0 X\nX -> 1 S\n", "cycle at"),

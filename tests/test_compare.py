@@ -94,6 +94,51 @@ class TestCompSlp:
         with pytest.raises(BadRange):
             partial_word_match(lit("a?", "ab?"), lit("ab", "ab?"), budget=-5)
 
+    def test_argument_checks_come_before_the_import(self, monkeypatch):
+        # budget, then lengths, then alphabets; none of them imports a program
+        def refuse(*args):
+            raise AssertionError("imported before the arguments were checked")
+
+        monkeypatch.setattr(slp._Store, "add", refuse)
+        ab, ab3 = lit("ab", "ab"), lit("abb", "ab")
+        with pytest.raises(BadRange):
+            comp_slp(ab, lit("011", "01"), ZERO_LEQ_ONE, budget=-1)
+        with pytest.raises(LengthMismatch):
+            comp_slp(ab3, lit("01", "01"), ZERO_LEQ_ONE)
+        # a word over {a, b} against 0<=1: a ValueError, on either side
+        for p1, p2 in ((ab, lit("01", "01")), (lit("01", "01"), ab)):
+            with pytest.raises(ValueError, match="relation's alphabet"):
+                comp_slp(p1, p2, ZERO_LEQ_ONE)
+
+    def test_equal_up_to_chain_and_duplicated_rules(self):
+        # S -> A A, ..., G -> H H, H -> 0 1 1 0 1, against the same word with
+        # a chain rule per level (S -> A A2, A2 -> A, ...) and H's rule written
+        # twice: both are one store name, so the walk takes one block
+        names = "SABCDEFGH"
+        p1 = slp.Slp("01", {**{n: (m, m) for n, m in zip(names, names[1:])},
+                            "H": tuple("01101")}, "S")
+        prods = {n: (m, m + "2") for n, m in zip(names, names[1:])}
+        prods.update({m + "2": (m,) for m in names[1:-1]})
+        prods["H"] = prods["H2"] = tuple("01101")
+        p2 = slp.Slp("01", prods, "S")
+        assert slp.validate(p2) is None and slp.expand(p1, 1280) == slp.expand(p2, 1280)
+        for rel in (ZERO_LEQ_ONE, order_from_literal("1<=0")):
+            res = comp_slp(p1, p2, rel)
+            assert (res.verdict, res.visited, res.checked) == (compare.HOLDS, 1, 1280)
+
+    def test_shared_subword_costs_one_block(self):
+        # the words share their first 5,000 symbols, written by one program,
+        # and differ after it: that part is one store name at one offset
+        rng = random.Random(66)
+        for _ in range(5):
+            shared = mixed(runny_word(rng, "01", 5000), "01", rng)
+            p1 = slp.concat(shared, lit("0010110", "01"))
+            p2 = slp.concat(shared, lit("0011010", "01"))
+            for x, y in ((p1, p2), (p2, p1)):
+                res = comp_slp(x, y, ZERO_LEQ_ONE)
+                want = naive(slp.expand(x, 5007), slp.expand(y, 5007), ZERO_LEQ_ONE)
+                assert (res.verdict, res.witness, res.visited) == (compare.FAILS, want, 2)
+
     def test_reflexive_on_self(self):
         rng = random.Random(50)
         for _ in range(40):
@@ -274,7 +319,7 @@ class TestBlockWalk:
 
 @pytest.fixture()
 def clean_sizes():
-    """How many pairs the memo holds at the end of each comp_slp call.
+    """How many pairs the memo holds at the end of each block walk.
 
     The memo only grows during a call, so that is its peak.
     """
@@ -285,7 +330,7 @@ def clean_sizes():
             sizes.append(len(frame.f_locals["clean"]))
 
     def on_call(frame, event, arg):
-        if frame.f_code is comp_slp.__code__:
+        if frame.f_code is compare._walk.__code__:
             frame.f_trace_lines = False
             return on_return
         return None
@@ -378,8 +423,8 @@ class TestCleanMemo:
 def residue_witness(p1, p2, rel):
     """The residue check's own answer on two words one of which is a short
     power, whatever the walk would have found first: (d, least witness)."""
-    bits = {x: 1 << i for i, x in enumerate(sorted(rel.alphabet))}
-    plan = compare._short_power(compare._View(p1, bits), compare._View(p2, bits))
+    st = slp._Store(rel.alphabet)
+    plan = compare._short_power(compare._View(st, st.imp(p1)), compare._View(st, st.imp(p2)))
     bad = {(x, y) for x in rel.alphabet for y in rel.alphabet if not rel.holds(x, y)}
     return plan[0], compare._residue_witness(*plan, bad)
 

@@ -22,6 +22,7 @@ from helpers import (
     machine_loop,
     machine_mod,
     random_normal_udpda,
+    random_raw_udpda,
     random_slp,
 )
 
@@ -195,6 +196,38 @@ class TestInclusion:
         assert [(decide.emptiness(m), decide.universality(m),
                  decide.compressed_membership(m, 1 << 70), decide.equivalence(m, n),
                  decide.inclusion(m, n)) for m, n in zip(machines, machines[1:])] == verdicts
+
+    def test_walks_the_cuts_in_place(self, monkeypatch):
+        # both pairs are written into one store and their cuts walked there:
+        # no topological pass, no store copy and no canonical build
+        rng = random.Random(67)
+        machines = [(random_normal_udpda(rng, max_states=10) if i % 2 else
+                     random_raw_udpda(rng, max_states=8)) for i in range(40)]
+
+        def answers():
+            return [(decide.inclusion(m, n), decide.inclusion(n, m), decide.emptiness(m),
+                     decide.universality(m), decide.compressed_membership(m, i * 37))
+                    for i, (m, n) in enumerate(zip(machines, machines[1:] + machines[:1]))]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a topological pass, a store copy or a canonical build")
+
+        want = answers()
+        monkeypatch.setattr(slp, "_toposort", refuse)
+        monkeypatch.setattr(slp._Store, "imp", refuse)
+        monkeypatch.setattr(slp._Store, "build", refuse)
+        got = answers()
+        assert [[(r.verdict, r.witness, r.visited, r.checked, r.period) for r in row[:2]]
+                for row in got] == \
+            [[(r.verdict, r.witness, r.visited, r.checked, r.period) for r in row[:2]]
+             for row in want]
+        assert [row[2:] for row in got] == [row[2:] for row in want]
+        # a machine against itself: every name is shared, so each of the two
+        # windows is one block and equivalence needs no fingerprint
+        for m in machines:
+            res = decide.inclusion(m, m)
+            assert res.holds and res.visited <= 2
+            assert decide.equivalence(m, m)
 
     def test_long_coprime_loops(self):
         # loops of coprime lengths near 10^4 give a window of ~10^8
