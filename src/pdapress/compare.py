@@ -15,13 +15,14 @@ nontermination.
 
 A side that is structurally a power B^k of a short base (|B| at most
 PERIOD_CAP) is decided exactly from residue classes modulo |B| once the
-walk has examined as many blocks as the store has symbols: work
+walk has examined as many blocks as both words' grammars have symbols: work
 pseudo-polynomial in the period, with no dependence on k.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import groupby
 from typing import Iterable
 
@@ -124,12 +125,25 @@ class _View:
         short word may still sit on a chain deeper than the recursion budget."""
         texts, stack = self.texts, [sym]
         while sym not in texts:
-            rhs = self.prods[stack[-1]]
-            if todo := [k for k in rhs if k not in texts]:
+            top = stack[-1]
+            if top in texts:  # pushed twice: spelled already
+                stack.pop()
+            elif todo := [k for k in self.prods[top] if k not in texts]:
                 stack += todo
             else:
-                texts[stack.pop()] = "".join(map(texts.__getitem__, rhs))
+                texts[stack.pop()] = "".join(map(texts.__getitem__, self.prods[top]))
         return texts[sym]
+
+    @cached_property
+    def rules(self) -> list[tuple[str, tuple]]:
+        """The rules reachable from the root, children first: in the store's
+        creation order."""
+        prods, seen, todo = self.prods, set(), [self.root]
+        while todo:
+            if (name := todo.pop()) in prods and name not in seen:
+                seen.add(name)
+                todo += set(prods[name]) - seen
+        return [(name, rhs) for name, rhs in prods.items() if name in seen]
 
     def children(self, sym: str) -> list[str]:
         """sym's right-hand side with terminal runs chunked, reversed for a stack."""
@@ -165,12 +179,12 @@ def _power_base(g: _View) -> str | None:
     """The base B when g's word is structurally B^k with k >= 2 and
     |B| <= PERIOD_CAP, else None.
 
-    Over the store in creation order, a name whose nonempty children all
-    share one base is a power of that base; any other is its own base.
+    Children first, a name whose nonempty children all share one base is a
+    power of that base; any other is its own base.
     """
     lens = g.lens
     base = {t: t for t in g.st.alphabet}
-    for name, rhs in g.prods.items():
+    for name, rhs in g.rules:
         kids = {base[sym] for sym in rhs if lens[sym]}
         base[name] = kids.pop() if len(kids) == 1 else name
     b = base[g.root]
@@ -192,11 +206,11 @@ def _short_power(g1: _View, g2: _View):
 def _residues(g: _View, x: str, d: int) -> dict:
     """Per symbol whose word holds x, the d-bit mask of the residues modulo d
     of the positions of x: the OR of its children's masks, each rotated by
-    the child's offset, folded over the store in creation order."""
+    the child's offset."""
     full = (1 << d) - 1
     occ = {x: 1}
     bit, lens, masks = g.masks[x], g.lens, g.masks
-    for name, rhs in g.prods.items():
+    for name, rhs in g.rules:
         if masks[name] & bit:
             mask = off = 0
             for sym in rhs:
@@ -284,18 +298,20 @@ def comp_slp(
     pair that comes up again was walked clean.  (d) never sees a
     remembered pair, as (f) splits none that (d) takes.
 
-    Residues.  Once the walk has examined as many blocks as the store has
-    symbols without an answer, it looks once for a side that is
-    structurally a power B^k, k >= 2, of a base of d <= PERIOD_CAP symbols
-    (the shorter base if both are).  If there is one, the check decides:
-    per name of the store, in creation order (children first), and per
-    symbol x that can violate, a d-bit mask of the residues mod d where x
-    occurs, tested against the residues where B holds a symbol x is not
-    related to; a hit leads one left-first descent to the least witness.
-    The decision counts as one more block.  The walk's blocks cover at most
-    the positions it checked clean, which are fewer than the answer needs,
-    so the accounting above still holds; and a violation within the first
-    blocks never pays for the masks.  The result's period is then d.
+    Residues.  Once the walk has examined as many blocks as there are
+    symbols on the right-hand sides reachable from the two roots (each
+    side counted apart) without an answer, it looks once for a side that
+    is structurally a power B^k, k >= 2, of a base of d <= PERIOD_CAP
+    symbols (the shorter base if both are).  If there is one, the check
+    decides: per name reachable from the side's root, children first, and
+    per symbol x that can violate, a d-bit mask of the residues mod d
+    where x occurs, tested against the residues where B holds a symbol x
+    is not related to; a hit leads one left-first descent to the least
+    witness.  The decision counts as one more block.  The walk's blocks
+    cover at most the positions it checked clean, which are fewer than the
+    answer needs, so the accounting above still holds; and a violation
+    within the first blocks never pays for the masks or the reachable set.
+    The result's period is then d.
     """
     if budget < 0:
         raise BadRange(f"budget {format_int(budget)} is negative")
@@ -318,15 +334,21 @@ def _walk(side1: tuple, side2: tuple, relation: SymbolRelation, budget: int) -> 
     bad1 = sum(masks1[x] for x in {x for x, _ in bad})
     bad2 = sum(masks2[y] for y in {y for _, y in bad})
     same = g1.st is g2.st
-    # the walk's blocks before it looks for a short power: the store symbols
-    sizes = {id(g.st): sum(map(len, g.prods.values())) for g in (g1, g2)}
-    stop = min(budget, sum(sizes.values()))
+    # the walk's blocks before it looks for a short power: the symbols
+    # reachable from the two roots, counted once it has taken as many as
+    # the roots' own sides have
+    stop = min(budget, sum(len(g.prods.get(g.root, ())) for g in (g1, g2)))
+    size = None
     n = lens1[g1.root]
     st1, st2 = [g1.root], [g2.root]
     off1 = off2 = pos = visited = 0
     clean = set()
     while pos < n:
         if visited >= stop:
+            if size is None:
+                size = sum(len(rhs) for g in (g1, g2) for _, rhs in g.rules)
+                stop = min(budget, size)
+                continue
             if visited >= budget:
                 return CheckResult(BUDGET_EXCEEDED, None, visited, pos)
             plan, stop = _short_power(g1, g2), budget

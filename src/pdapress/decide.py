@@ -52,7 +52,7 @@ def _pair_equal(x: IndicatorPair, y: IndicatorPair) -> bool:
     """
     (p1, k1), (p2, k2) = x.lengths, y.lengths
     n = max(p1, p2) + k1 + k2 - math.gcd(k1, k2)
-    return x.cut(n) == y.cut(n) or slp.equal(x.word(n), y.word(n))  # one name of one store
+    return x._place(n) == y._place(n) or slp.equal(x.word(n), y.word(n))  # one store name
 
 
 def equivalence(a1: Machine, a2: Machine) -> bool:
@@ -66,10 +66,10 @@ def _pair_included(x: IndicatorPair, y: IndicatorPair, budget: int) -> CheckResu
         raise BadRange(f"budget {format_int(budget)} is negative")
     (p1, k1), (p2, k2) = x.lengths, y.lengths
     p, span = max(p1, p2), math.lcm(k1, k2)
-    head = _walk(x.cut(p), y.cut(p), ZERO_LEQ_ONE, budget)
+    head = _walk(x._place(p), y._place(p), ZERO_LEQ_ONE, budget)
     if not head.holds:
         return head
-    tail = _walk(x.cut(span, p), y.cut(span, p), ZERO_LEQ_ONE, budget - head.visited)
+    tail = _walk(x._place(span, p), y._place(span, p), ZERO_LEQ_ONE, budget - head.visited)
     return CheckResult(tail.verdict, None if tail.witness is None else p + tail.witness,
                        head.visited + tail.visited, p + tail.checked,
                        tail.period or head.period)

@@ -106,13 +106,13 @@ class _Pair:
         masks = self._st.masks
         return {t for t in self.ALPHABET if masks[t] & (masks[self._pre] | masks[self._loop])}
 
-    def cut(self, n: int, start: int = 0) -> tuple[slp._Store, str]:
+    def _place(self, n: int, start: int = 0) -> tuple[slp._Store, str]:
         """The store and the name of window(n, start), read in place."""
         return self._st, _cut(self._st, self._pre, self._loop, n, start)
 
     def word(self, n: int, start: int = 0) -> Slp:
         """window(n, start) read in place (slp._Store.word): never for output."""
-        return self._st.word(self.cut(n, start)[1])
+        return self._st.word(_cut(self._st, self._pre, self._loop, n, start))
 
     def window(self, n: int, start: int = 0) -> Slp:
         """Canonical program for characters [start, start + n) of prefix.loop^omega."""

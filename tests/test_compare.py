@@ -554,6 +554,21 @@ class TestResidues:
         assert comp_slp(p1, p2, ZERO_LEQ_ONE, budget=res.visited) == res
         assert comp_slp(p1, p2, ZERO_LEQ_ONE, budget=0).verdict == compare.BUDGET_EXCEEDED
 
+    def test_folds_read_only_the_rules_reachable_from_the_root(self):
+        rng = random.Random(62)
+        for _ in range(40):
+            p1, p2 = (random_slp(rng, "01", min_len=1, max_len=300) for _ in range(2))
+            st = slp._Store("01")
+            r1, r2 = st.imp(p1), st.imp(p2)
+            st.add((r2, r1))  # a later name that reaches both
+            for root in (r1, r2):
+                rules = compare._View(st, root).rules
+                names = [name for name, _ in rules]
+                assert len(names) == len(st.canonical(root)[0])
+                assert names[-1] == root
+                for i, (name, rhs) in enumerate(rules):  # children first
+                    assert all(s in st.alphabet or s in names[:i] for s in rhs)
+
     def test_walk_first(self, monkeypatch):
         def boom(*args):
             raise AssertionError("residue check reached")

@@ -322,6 +322,22 @@ class TestResidueInclusion:
             assert (got.verdict, got.witness, got.checked) == (
                 walked.verdict, walked.witness, walked.checked)
 
+    def test_budget_past_the_lookup_threshold(self):
+        # 1 0^210 against 1^24 0 1^198: y's one 0 per loop first meets x's 1
+        # after 221 copies of x's loop.  The walk over the loops looks for a
+        # short power after as many blocks as the two windows' grammars
+        # have symbols, whatever else their store holds, so a budget just
+        # past that still decides by residues.
+        x = IndicatorPair(bits("10011001"), slp.concat(bits("1"), slp.power(bits("0"), 210)))
+        y = IndicatorPair(bits("11111001"), slp.concat(
+            slp.concat(slp.power(bits("1"), 24), bits("0")), slp.power(bits("1"), 198)))
+        a, b = map(indicator_to_udpda, (x, y))
+        for budget in (106, 110, compare.DEFAULT_BUDGET):
+            res = decide.inclusion(a, b, budget)
+            assert (res.verdict, res.witness, res.visited, res.period) == (
+                compare.FAILS, 8 + 221 * 211, 106, 211)
+        assert decide.inclusion(a, b, 105).verdict == compare.BUDGET_EXCEEDED
+
     @pytest.mark.parametrize("p, q", [(1009, 1013), (4001, 4003), (10007, 10009),
                                       (30011, 30013)])
     def test_long_joint_periods(self, p, q):

@@ -623,7 +623,7 @@ class TestWindow:
             pair = IndicatorPair(prefix, loop)
             plen, k = slp.length(pair.prefix), slp.length(pair.loop)
             start, copies = plen + rng.randint(0, 3 * k), rng.randint(2, 9)
-            view = compare._View(*pair.cut(copies * k, start))
+            view = compare._View(*pair._place(copies * k, start))
             base = compare._power_base(view)
             assert base is not None and k % view.lens[base] == 0
 
