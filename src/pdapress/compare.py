@@ -120,30 +120,9 @@ class _View:
         self.texts = {t: t for t in st.alphabet}
         self._kids: dict[str, list[str]] = {}
 
-    def text(self, sym: str) -> str:
-        """sym's word, spelled once, children first, on an explicit stack: a
-        short word may still sit on a chain deeper than the recursion budget."""
-        texts, stack = self.texts, [sym]
-        while sym not in texts:
-            top = stack[-1]
-            if top in texts:  # pushed twice: spelled already
-                stack.pop()
-            elif todo := [k for k in self.prods[top] if k not in texts]:
-                stack += todo
-            else:
-                texts[stack.pop()] = "".join(map(texts.__getitem__, self.prods[top]))
-        return texts[sym]
-
     @cached_property
     def rules(self) -> list[tuple[str, tuple]]:
-        """The rules reachable from the root, children first: in the store's
-        creation order."""
-        prods, seen, todo = self.prods, set(), [self.root]
-        while todo:
-            if (name := todo.pop()) in prods and name not in seen:
-                seen.add(name)
-                todo += set(prods[name]) - seen
-        return [(name, rhs) for name, rhs in prods.items() if name in seen]
+        return self.st.rules(self.root)
 
     def children(self, sym: str) -> list[str]:
         """sym's right-hand side with terminal runs chunked, reversed for a stack."""
@@ -321,13 +300,13 @@ def comp_slp(
     if not p1.alphabet <= relation.alphabet or not p2.alphabet <= relation.alphabet:
         raise ValueError("word alphabets must be contained in the relation's alphabet")
     st = slp._Store(relation.alphabet)
-    return _walk((st, st.imp(p1)), (st, st.imp(p2)), relation, budget)
+    return _walk(st.build(st.imp(p1)), st.build(st.imp(p2)), relation, budget)
 
 
-def _walk(side1: tuple, side2: tuple, relation: SymbolRelation, budget: int) -> CheckResult:
-    """comp_slp's walk over equal-length (store, name) sides, both stores
-    over the relation's alphabet; budget >= 0."""
-    g1, g2 = _View(*side1), _View(*side2)
+def _walk(p1: Slp, p2: Slp, relation: SymbolRelation, budget: int) -> CheckResult:
+    """comp_slp's walk over two equal-length programs, read where they are
+    anchored, in stores over the relation's alphabet; budget >= 0."""
+    g1, g2 = _View(*slp._anchor(p1)), _View(*slp._anchor(p2))
     bad = {(x, y) for x in relation.alphabet for y in relation.alphabet
            if not relation.holds(x, y)}
     lens1, masks1, lens2, masks2 = g1.lens, g1.masks, g2.lens, g2.masks
@@ -365,7 +344,7 @@ def _walk(side1: tuple, side2: tuple, relation: SymbolRelation, budget: int) -> 
         elif not masks2[b] & bad2:
             step = l2 - off2
         elif l1 <= BLOCK and l2 <= BLOCK:
-            s1, s2 = g1.text(a)[off1:], g2.text(b)[off2:]
+            s1, s2 = g1.st.spell(a, g1.texts)[off1:], g2.st.spell(b, g2.texts)[off2:]
             step = min(len(s1), len(s2))
             if s1[:step] != s2[:step]:
                 for i, pair in enumerate(zip(s1, s2)):

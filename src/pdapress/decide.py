@@ -27,7 +27,7 @@ def compressed_membership(a: Machine, n: int) -> bool:
     negative."""
     if n < 0:
         raise BadRange(f"word length {format_int(n)} is negative")
-    return slp.query(udpda_to_indicator(a).word(1, n), 0) == "1"
+    return slp.query(udpda_to_indicator(a).window(1, n), 0) == "1"
 
 
 def emptiness(a: Machine) -> bool:
@@ -52,7 +52,8 @@ def _pair_equal(x: IndicatorPair, y: IndicatorPair) -> bool:
     """
     (p1, k1), (p2, k2) = x.lengths, y.lengths
     n = max(p1, p2) + k1 + k2 - math.gcd(k1, k2)
-    return x._place(n) == y._place(n) or slp.equal(x.word(n), y.word(n))  # one store name
+    wx, wy = x.window(n), y.window(n)
+    return slp._anchor(wx) == slp._anchor(wy) or slp.equal(wx, wy)  # one store name
 
 
 def equivalence(a1: Machine, a2: Machine) -> bool:
@@ -66,10 +67,10 @@ def _pair_included(x: IndicatorPair, y: IndicatorPair, budget: int) -> CheckResu
         raise BadRange(f"budget {format_int(budget)} is negative")
     (p1, k1), (p2, k2) = x.lengths, y.lengths
     p, span = max(p1, p2), math.lcm(k1, k2)
-    head = _walk(x._place(p), y._place(p), ZERO_LEQ_ONE, budget)
+    head = _walk(x.window(p), y.window(p), ZERO_LEQ_ONE, budget)
     if not head.holds:
         return head
-    tail = _walk(x._place(span, p), y._place(span, p), ZERO_LEQ_ONE, budget - head.visited)
+    tail = _walk(x.window(span, p), y.window(span, p), ZERO_LEQ_ONE, budget - head.visited)
     return CheckResult(tail.verdict, None if tail.witness is None else p + tail.witness,
                        head.visited + tail.visited, p + tail.checked,
                        tail.period or head.period)

@@ -38,17 +38,25 @@ class Slp:
 
     Instances are treated as immutable; every operation in this module
     returns a new program.  Construction performs no validation -- run
-    :func:`validate` to check the invariants.
+    :func:`validate` to check the invariants.  Readers read the program's
+    anchor, a name in a grammar store (see _anchor); a program the library
+    builds makes its canonical productions when they are first read.
     """
 
-    __slots__ = ("alphabet", "productions", "axiom", "_len_cache")
+    __slots__ = ("alphabet", "_prods", "axiom", "_st", "_root")
 
     def __init__(self, alphabet: Iterable[str], productions, axiom: str):
         self.alphabet = frozenset(alphabet)
         items = productions.items() if isinstance(productions, dict) else productions
-        self.productions = {name: tuple(rhs) for name, rhs in items}
+        self._prods = {name: tuple(rhs) for name, rhs in items}
         self.axiom = axiom
-        self._len_cache = None
+        self._st = self._root = None
+
+    @property
+    def productions(self) -> dict[str, tuple[str, ...]]:
+        if self._prods is None:
+            self._prods = self._st.canonical(self._root)
+        return self._prods
 
     def __eq__(self, other):
         return (
@@ -89,15 +97,15 @@ def validate(p: Slp) -> str | None:
             if sym not in p.alphabet and sym not in p.productions:
                 return f"missing production {sym}"
     try:
-        _toposort(p, p.productions)
+        _anchor(p)
     except ValueError as err:
         return str(err)
     return None
 
 
-def _toposort(p: Slp | _Store, roots) -> list[str]:
-    """Children-first order of the productions reachable from roots, in a
-    program or a store; a cycle raises ValueError("cycle at X").
+def _toposort(p: Slp, roots) -> list[str]:
+    """Children-first order of the productions reachable from roots; a
+    cycle raises ValueError("cycle at X").
 
     A right-hand side wider than two symbols is stepped over its distinct
     symbols only, so a long literal costs one pass at C speed.
@@ -136,69 +144,65 @@ def _toposort(p: Slp | _Store, roots) -> list[str]:
     return order
 
 
-def _all_lengths(p: Slp) -> dict[str, int]:
-    if p._len_cache is None:
-        lens = dict.fromkeys(p.alphabet, 1)
-        for name in _toposort(p, p.productions.keys()):
-            lens[name] = sum(map(lens.__getitem__, p.productions[name]))
-        for sym in p.alphabet:
-            del lens[sym]
-        p._len_cache = lens
-    return p._len_cache
+def _anchor(p: Slp) -> tuple[_Store, str]:
+    """The store and the name of p's word.  A program given as productions
+    is anchored on first use: ordered children first, which finds any cycle
+    (ValueError), and written in that order into a store of its own."""
+    if p._st is None:
+        st, names = _Store(p.alphabet), {}
+        for name in _toposort(p, p._prods):
+            rhs = p._prods[name]
+            names[name] = st.add(map(names.get, rhs, rhs))  # a terminal is itself
+        p._st, p._root = st, names[p.axiom]
+    return p._st, p._root
 
 
 def length(p: Slp) -> int:
     """Length of the generated word, computed bottom-up without expansion."""
-    return _all_lengths(p)[p.axiom]
+    st, root = _anchor(p)
+    return st.lengths[root]
 
 
 def expand(p: Slp, cap: int) -> str:
     """The generated word itself, provided it is no longer than cap."""
-    n = length(p)
-    if n > cap:
-        raise CapExceeded(n)
-    words: dict[str, str] = {}
-    for name in _toposort(p, [p.axiom]):
-        words[name] = "".join(
-            s if s in p.alphabet else words[s] for s in p.productions[name]
-        )
-    return words[p.axiom]
+    st, root = _anchor(p)
+    if st.lengths[root] > cap:
+        raise CapExceeded(st.lengths[root])
+    return st.spell(root, {t: t for t in st.alphabet})
 
 
 def query(p: Slp, n: int) -> str:
     """The n-th symbol (0-indexed) of the generated word, by length-guided descent."""
-    if not 0 <= n < length(p):
+    st, sym = _anchor(p)
+    lens = st.lengths
+    if not 0 <= n < lens[sym]:
         raise IndexOutOfRange(
-            f"position {format_int(n)} outside word of length {format_int(length(p))}")
-    lens = _all_lengths(p)
-    sym = p.axiom
-    while sym not in p.alphabet:
-        for child in p.productions[sym]:
-            k = 1 if child in p.alphabet else lens[child]
-            if n < k:
-                sym = child
+            f"position {format_int(n)} outside word of length {format_int(lens[sym])}")
+    while sym not in st.alphabet:
+        for sym in st.productions[sym]:
+            if n < lens[sym]:
                 break
-            n -= k
+            n -= lens[sym]
     return sym
 
 
 def first_symbol(p: Slp) -> str:
-    return query(p, 0)
+    st, root = _anchor(p)
+    return st.first[root] or query(p, 0)  # the empty word: query raises
 
 
 def last_symbol(p: Slp) -> str:
-    return query(p, length(p) - 1)
+    st, root = _anchor(p)
+    return st.last[root] or query(p, -1)  # the empty word: query raises
 
 
 def count(p: Slp, symbol: str) -> int:
     """Number of occurrences of a terminal in the generated word."""
-    counts: dict[str, int] = {}
-    for name in _toposort(p, [p.axiom]):
-        counts[name] = sum(
-            (1 if s == symbol else 0) if s in p.alphabet else counts[s]
-            for s in p.productions[name]
-        )
-    return counts[p.axiom]
+    st, root = _anchor(p)
+    counts = {t: int(t == symbol) for t in st.alphabet}
+    for name, rhs in st.rules(root):
+        counts[name] = sum(map(counts.__getitem__, rhs))
+    return counts[root]
 
 
 def literal(word: str, alphabet: Iterable[str] | None = None) -> Slp:
@@ -214,7 +218,8 @@ class _Store:
     nonterminal, so chain productions never materialize.  Importing a
     program a second time therefore maps it to the same names and adds no
     production, which keeps repeated self-composition (as in the
-    hardness-instance generators) polynomial in size.
+    hardness-instance generators) polynomial in size.  A name is added
+    after its children, so creation order is children first.
 
     `add` keeps each name's facts beside its rule, as every terminal's are
     kept: `lengths`, `masks` (the terminal set as bits over the sorted
@@ -233,26 +238,56 @@ class _Store:
 
     def add(self, rhs) -> str:
         rhs = tuple(rhs)
-        if len(rhs) == 1 and rhs[0] not in self.alphabet:
-            return rhs[0]
         name = self._memo.get(rhs)
         if name is None:
+            if len(rhs) == 1 and rhs[0] not in self.alphabet:
+                return rhs[0]
             self._next += 1
             name = f"n{self._next}"
             self.productions[name] = rhs
             lengths, masks, first, last = self.lengths, self.masks, self.first, self.last
-            n, mask, head, tail = 0, 0, None, None
-            for s in rhs:
-                k = lengths[s]
-                if k:
-                    n += k
+            if len(rhs) > 32:  # a wide rule at C speed, the mask over distinct symbols
+                n, mask = sum(map(lengths.__getitem__, rhs)), 0
+                for s in set(rhs):
                     mask |= masks[s]
-                    tail = last[s]
-                    if head is None:
-                        head = first[s]
+                head = next(filter(None, map(first.__getitem__, rhs)), None)
+                tail = next(filter(None, map(last.__getitem__, reversed(rhs))), None)
+            else:  # faster on short rules
+                n, mask, head, tail = 0, 0, None, None
+                for s in rhs:
+                    if k := lengths[s]:
+                        n += k
+                        mask |= masks[s]
+                        tail = last[s]
+                        if head is None:
+                            head = first[s]
             lengths[name], masks[name], first[name], last[name] = n, mask, head, tail
             self._memo[rhs] = name
         return name
+
+    def rules(self, root: str) -> list[tuple[str, tuple[str, ...]]]:
+        """The rules reachable from root, children first: in creation order."""
+        prods, seen, todo = self.productions, set(), [root]
+        while todo:
+            if (name := todo.pop()) in prods and name not in seen:
+                seen.add(name)
+                todo += set(prods[name]) - seen
+        return [(name, rhs) for name, rhs in prods.items() if name in seen]
+
+    def spell(self, sym: str, texts: dict[str, str]) -> str:
+        """sym's word, spelled into texts (every terminal and each word spelled
+        so far) from the names sym reaches, children first, on an explicit
+        stack: a grammar may be deeper than the recursion budget."""
+        prods, stack = self.productions, [sym]
+        while sym not in texts:
+            top = stack[-1]
+            if top in texts:  # pushed twice: spelled already
+                stack.pop()
+            elif todo := [k for k in prods[top] if k not in texts]:
+                stack += todo
+            else:
+                texts[stack.pop()] = "".join(map(texts.__getitem__, prods[top]))
+        return texts[sym]
 
     def imp(self, p: Slp, termmap: Mapping[str, str] | None = None) -> str:
         """Copy p's reachable productions in; return the local name for its word.
@@ -260,16 +295,16 @@ class _Store:
         With termmap, every terminal is replaced by its image word on the
         way in (the image must use this store's alphabet).
         """
+        src, root = _anchor(p)
         # every symbol's word here: a terminal's image, a name's local name
-        words = {t: (t,) if termmap is None else tuple(termmap[t]) for t in p.alphabet}
-        for name in _toposort(p, [p.axiom]):
-            words[name] = (self.add([s for sym in p.productions[name] for s in words[sym]]),)
-        return words[p.axiom][0]
+        words = {t: (t,) if termmap is None else tuple(termmap[t]) for t in src.alphabet}
+        for name, rhs in src.rules(root):
+            words[name] = (self.add([s for sym in rhs for s in words[sym]]),)
+        return words[root][0]
 
-    def canonical(self, axiom_sym: str) -> tuple[dict[str, tuple[str, ...]], dict[str, int]]:
-        """Productions and lengths of the grammar reachable from axiom_sym,
+    def canonical(self, axiom_sym: str) -> dict[str, tuple[str, ...]]:
+        """Productions of the grammar reachable from the name axiom_sym,
         renamed N0, N1, ... in first-visit order with the axiom first."""
-        axiom_sym = self.add((axiom_sym,))  # a terminal gets a name
         names = {axiom_sym: "N0"}
         queue = [axiom_sym]
         while queue:
@@ -277,23 +312,15 @@ class _Store:
                 if s not in self.alphabet and s not in names:
                     names[s] = f"N{len(names)}"
                     queue.append(s)
-        prods = {new: tuple(names.get(s, s) for s in self.productions[old])
-                 for old, new in names.items()}
-        return prods, {new: self.lengths[old] for old, new in names.items()}
+        return {new: tuple(names.get(s, s) for s in self.productions[old])
+                for old, new in names.items()}
 
     def build(self, axiom_sym: str) -> Slp:
-        """The grammar reachable from axiom_sym as a canonical Slp: equal
-        builds give byte-identical programs, with the store's lengths."""
+        """axiom_sym's word as a program anchored here: equal builds give
+        byte-identical programs, whose canonical productions are made when
+        first read."""
         p = Slp(self.alphabet, (), "N0")
-        p.productions, p._len_cache = self.canonical(axiom_sym)
-        return p
-
-    def word(self, sym: str) -> Slp:
-        """sym's word as a program that shares this store's productions and
-        lengths, with no copy: for readers that walk from the axiom, never
-        for output (its names are the store's, and the store may grow)."""
-        p = Slp(self.alphabet, (), self.add((sym,)))
-        p.productions, p._len_cache = self.productions, self.lengths
+        p._prods, p._st, p._root = None, self, self.add((axiom_sym,))  # a terminal gets a name
         return p
 
 
@@ -448,28 +475,28 @@ def trim(p: Slp, end: str, symbol: str) -> Slp:
     return slice(p, 1, n) if end == "front" else slice(p, 0, n - 1)
 
 
-def _cnf(g: Slp | _Store, root: str, st: _Store) -> str | None:
-    """Name in st for root's word of the grammar g in Chomsky normal form;
-    None for the empty word.
+def _cnf(src: _Store, root: str) -> tuple[_Store, str | None]:
+    """A new store over src's alphabet and its name for root's word of src
+    in Chomsky normal form; None for the empty word.
 
     Empty and chain productions are eliminated, longer right-hand sides are
     binarized by a left fold, and terminal wrappers are shared, so the result
     is deterministic.
     """
-    mapping: dict[str, str | None] = {s: st.add((s,)) for s in g.alphabet}
-    for name in _toposort(g, [root]):
-        parts = [m for m in map(mapping.__getitem__, g.productions[name]) if m]
+    st = _Store(src.alphabet)
+    mapping: dict[str, str | None] = {s: st.add((s,)) for s in src.alphabet}
+    for name, rhs in src.rules(root):
+        parts = [m for m in map(mapping.__getitem__, rhs) if m]
         cur = parts[0] if parts else None
         for nxt in parts[1:]:
             cur = st.add((cur, nxt))
         mapping[name] = cur
-    return mapping[root]
+    return st, mapping[root]
 
 
 def to_cnf(p: Slp) -> Slp:
     """Equivalent program in Chomsky normal form (see _cnf)."""
-    st = _Store(p.alphabet)
-    root = _cnf(p, p.axiom, st)
+    st, root = _cnf(*_anchor(p))
     if root is None:
         raise EmptyWord("the empty word has no Chomsky normal form")
     return st.build(root)
@@ -481,9 +508,8 @@ def size(p: Slp) -> int:
     Counts the names reachable from the CNF's root in its store, so no
     program is built: the store also wraps alphabet symbols the word may
     not use."""
-    st = _Store(p.alphabet)
-    root = _cnf(p, p.axiom, st)
-    return 0 if root is None else len(_toposort(st, [root]))
+    st, root = _cnf(*_anchor(p))
+    return 0 if root is None else len(st.rules(root))
 
 
 # Exponents e of the Mersenne primes 2**e - 1 (OEIS A000043) above 64.
@@ -495,15 +521,16 @@ _MERSENNE = (89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423, 9689,
 def _fingerprint(p: Slp, digits: Mapping[str, int], base: int, mod: int) -> int:
     """Generated word read as a number in the given base, modulo mod."""
     # per nonterminal: (value, base ** length) modulo mod, bottom-up
+    st, root = _anchor(p)
     vals: dict[str, tuple[int, int]] = {s: (d, base) for s, d in digits.items()}
-    for name in _toposort(p, [p.axiom]):
+    for name, rhs in st.rules(root):
         v, w = 0, 1
-        for s in p.productions[name]:
+        for s in rhs:
             sv, sw = vals[s]
             v = (v * sw + sv) % mod
             w = w * sw % mod
         vals[name] = (v, w)
-    return vals[p.axiom][0]
+    return vals[root][0]
 
 
 def equal(p1: Slp, p2: Slp, *, exact_threshold: int = 4096, seed: int = 0) -> bool:

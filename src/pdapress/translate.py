@@ -60,9 +60,10 @@ def _cut(st: slp._Store, pre: str, loop: str, n: int, start: int) -> str:
 
 class _Pair:
     """The prefix and the loop of an eventually periodic word: two names in
-    the pair's own grammar store, where windows are cut and read.  Only
-    `prefix`, `loop`, `window` and equality build canonical programs.
-    Subclasses fix the alphabet and the kind in the pair file format."""
+    the pair's own grammar store, where windows are cut and read.  The
+    programs `prefix`, `loop` and `window` are anchored there; only writing
+    them and equality make canonical productions.  Subclasses fix the
+    alphabet and the kind in the pair file format."""
 
     KIND: ClassVar[str]
     ALPHABET: ClassVar[frozenset[str]]
@@ -106,25 +107,17 @@ class _Pair:
         masks = self._st.masks
         return {t for t in self.ALPHABET if masks[t] & (masks[self._pre] | masks[self._loop])}
 
-    def _place(self, n: int, start: int = 0) -> tuple[slp._Store, str]:
-        """The store and the name of window(n, start), read in place."""
-        return self._st, _cut(self._st, self._pre, self._loop, n, start)
-
-    def word(self, n: int, start: int = 0) -> Slp:
-        """window(n, start) read in place (slp._Store.word): never for output."""
-        return self._st.word(_cut(self._st, self._pre, self._loop, n, start))
-
     def window(self, n: int, start: int = 0) -> Slp:
-        """Canonical program for characters [start, start + n) of prefix.loop^omega."""
+        """Program for characters [start, start + n) of prefix.loop^omega, cut in the store."""
         return self._st.build(_cut(self._st, self._pre, self._loop, n, start))
 
     def sequence(self, n: int) -> str:
         """First n characters of prefix.loop^omega."""
-        return slp.expand(self.word(n), n)
+        return slp.expand(self.window(n), n)
 
     @property
     def size(self) -> int:
-        return slp.size(self._st.word(self._pre)) + slp.size(self._st.word(self._loop))
+        return slp.size(self.prefix) + slp.size(self.loop)
 
 
 class IndicatorPair(_Pair):
@@ -198,11 +191,10 @@ def _slp_machine(g: _Gadgets, store: slp._Store, sym: str, ns: str) -> tuple[str
     markers of the gadget that is running, which starts and ends at the
     bottom, so one pair serves every program of a machine.
     """
-    cnf = slp._Store(BIT_ALPHABET)
-    root = slp._cnf(store, sym, cnf)
+    cnf, root = slp._cnf(store, sym)
     if root is None:
         raise EmptyWord("cannot build a machine for the empty word")
-    prods = _reduce_fanout(cnf.canonical(root)[0])
+    prods = _reduce_fanout(cnf.canonical(root))
     entry = {n: f"{ns}.i.{n}" for n in prods}
     exit_ = {n: f"{ns}.o.{n}" for n in prods}
     seen: dict[str, int] = {}

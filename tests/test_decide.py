@@ -186,7 +186,11 @@ class TestInclusion:
             raise AssertionError("a store copy or a canonical build")
 
         monkeypatch.setattr(slp._Store, "imp", refuse)
-        monkeypatch.setattr(slp._Store, "build", refuse)
+        # no program makes its canonical productions (on first read); the
+        # machine builder still names its own CNF copy by _Store.canonical
+        productions = slp.Slp.productions.fget
+        monkeypatch.setattr(slp.Slp, "productions",
+                            property(lambda p: refuse() if p._prods is None else productions(p)))
         got = [(decide._pair_included(x, y, compare.DEFAULT_BUDGET), decide._pair_equal(x, y),
                 udpda.format_udpda(indicator_to_udpda(x))) for x, y in cases]
         assert [(r.verdict, r.witness, r.visited) for r, *_ in got] == \
@@ -215,7 +219,7 @@ class TestInclusion:
         want = answers()
         monkeypatch.setattr(slp, "_toposort", refuse)
         monkeypatch.setattr(slp._Store, "imp", refuse)
-        monkeypatch.setattr(slp._Store, "build", refuse)
+        monkeypatch.setattr(slp._Store, "canonical", refuse)
         got = answers()
         assert [[(r.verdict, r.witness, r.visited, r.checked, r.period) for r in row[:2]]
                 for row in got] == \

@@ -1,5 +1,6 @@
 """Straight-line program algebra against the expansion oracle."""
 
+import functools
 import random
 
 import pytest
@@ -104,11 +105,29 @@ class TestStore:
         assert len(zero) > 1  # not only add(())
         order = sorted(alphabet)
         for name in [*alphabet, *st.productions]:
-            word = slp.expand(st.word(name), 10**5)
+            word = slp.expand(st.build(name), 10**5)
             assert st.lengths[name] == len(word), name
             assert st.masks[name] == sum(1 << order.index(t) for t in set(word)), name
             assert st.first[name] == (word[0] if word else None), name
             assert st.last[name] == (word[-1] if word else None), name
+
+    def test_wide_rule_facts_match_its_left_fold(self):
+        # a wide rule's facts are summed over the rule at once; with empty
+        # children at both ends they match the same word folded left, two
+        # symbols per rule, at every width
+        rng = random.Random(63)
+        st = slp._Store("01")
+        empty = st.add(())
+        kids = [st.imp(random_slp(rng, "01", max_len=40)) for _ in range(12)] + [empty, "0", "1"]
+        for width in (5, 8, 32, 33, 64, 500, 5000):
+            for pool in ([empty], ["0"], kids):
+                rhs = [rng.choice(pool) for _ in range(width)]
+                rhs[0] = rhs[1] = rhs[-2] = rhs[-1] = empty
+                if pool == ["0"]:
+                    rhs[width // 2] = "1"  # a symbol met once
+                wide, fold = st.add(rhs), functools.reduce(lambda a, b: st.add((a, b)), rhs)
+                for facts in (st.lengths, st.masks, st.first, st.last):
+                    assert facts[wide] == facts[fold], (width, pool)
 
     def test_self_concatenation_stays_small(self):
         p = P0
@@ -200,7 +219,7 @@ class TestCnfAndSize:
         def refuse(*args, **kwargs):
             raise AssertionError("a canonical build")
 
-        monkeypatch.setattr(slp._Store, "build", refuse)
+        monkeypatch.setattr(slp._Store, "canonical", refuse)
         assert [slp.size(p) for p in programs] == want
 
     def test_size_subadditive_under_concat(self):
@@ -410,6 +429,88 @@ class TestFormat:
         with pytest.raises(FormatError) as err:
             slp.format_slp(p)
         assert str(err.value) == f"{name} cannot be written in the .slp format"
+
+
+def spelled(p):
+    """p's word by recursion over its productions: an oracle that reads no store."""
+    def spell(sym):
+        return sym if sym in p.alphabet else "".join(map(spell, p.productions[sym]))
+    return spell(p.axiom)
+
+
+class TestReaders:
+    def test_every_reader_reads_the_anchor(self, monkeypatch):
+        # one word in three forms: parsed from its text, built by the word
+        # algebra, and cut as a pair's window.  Every reader agrees with the
+        # expanded word, and none orders the productions again: after the
+        # inputs are parsed, an ordering pass fails the test
+        rng = random.Random(71)
+        cases = []
+        for trial in range(80):
+            q = random_slp(rng, "01", max_prods=10, max_arity=5, min_len=trial % 3 and 40,
+                           max_len=300)
+            word = spelled(q)
+            n, h = len(word), rng.randint(0, len(word))
+            parsed = slp.parse_slp(slp.format_slp(q))
+            built = slp.slice(slp.concat(slp.power(q, 2) if n else q, q), n, 2 * n)
+            # x.w[:h].(w[h:] w[:h])^omega = x.w^omega, from x on
+            x = random_slp(rng, "01", max_len=30)
+            if n:
+                loop = slp.cyclic_shift(q, h) if h < n else q
+                pair = translate.IndicatorPair(slp.concat(x, slp.slice(q, 0, h)), loop)
+            else:
+                pair = translate.IndicatorPair(x, slp.literal("1", "01"))
+            window = pair.window(n, slp.length(x) + n * rng.randint(0, 3))
+            forms = (parsed, built, window)
+            # each form's eagerly canonical copy, anchored in a store of its own
+            eager = [Slp(p.alphabet, slp._anchor(p)[0].canonical(slp._anchor(p)[1]), "N0")
+                     for p in forms]
+            sizes = [slp.size(p) for p in eager]
+            # another word of the same length, one symbol apart if it can be
+            other = word
+            if n:
+                i = rng.randrange(n)
+                other = word[:i] + "10"[int(word[i])] + word[i + 1:]
+            other = slp.parse_slp(f"alphabet: 01\nS -> {' '.join(other) or 'eps'}\n")
+            cases.append((word, forms, eager, sizes, other))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an ordering pass after parsing")
+
+        monkeypatch.setattr(slp, "_toposort", refuse)
+        for word, forms, eager, sizes, other in cases:
+            n = len(word)
+            # a program built lazily makes its canonical productions here
+            for p, e in zip(forms[1:], eager[1:]):
+                assert hash(p) == hash(e) and p == e
+                assert slp.format_slp(p) == slp.format_slp(e)
+            for p, size in zip(forms, sizes):
+                assert slp.length(p) == n
+                assert [slp.query(p, i) for i in range(n)] == list(word)
+                with pytest.raises(IndexOutOfRange):
+                    slp.query(p, n)
+                assert slp.expand(p, n) == word
+                if n:
+                    with pytest.raises(CapExceeded):
+                        slp.expand(p, n - 1)
+                assert [slp.count(p, t) for t in "01"] == [word.count(t) for t in "01"]
+                if n:
+                    assert (slp.first_symbol(p), slp.last_symbol(p)) == (word[0], word[-1])
+                else:
+                    for end in (slp.first_symbol, slp.last_symbol):
+                        with pytest.raises(IndexOutOfRange):
+                            end(p)
+                assert slp.size(p) == size
+                if n:
+                    cnf = slp.to_cnf(p)
+                    assert slp.expand(cnf, n) == word and len(cnf.productions) == size
+                    assert all(len(rhs) == 2 or rhs[0] in "01" for rhs in cnf.productions.values())
+                else:
+                    with pytest.raises(EmptyWord):
+                        slp.to_cnf(p)
+                for cap in (0, 4096):  # fingerprinted, and expanded
+                    assert all(slp.equal(p, r, exact_threshold=cap) for r in forms)
+                    assert slp.equal(p, other, exact_threshold=cap) == (n == 0)
 
 
 class TestProperties:

@@ -501,7 +501,7 @@ class TestFullPipeline:
         def refuse(*args, **kwargs):
             raise AssertionError("a canonical build")
 
-        monkeypatch.setattr(slp._Store, "build", refuse)
+        monkeypatch.setattr(slp._Store, "canonical", refuse)
         assert [p.size for p in pairs] == want
 
     def test_written_machine_reads_back_at_its_own_size(self):
@@ -577,8 +577,9 @@ class TestWindow:
                 pair.window(n, start)
 
     def test_words_walk_like_windows(self):
-        # a word is read in the pair's store, a window is a canonical copy:
-        # comparisons over either give the same answer and the same walk
+        # a window is read in the pair's store, its canonical copy in a store
+        # of its own: comparisons over either give the same answer and the
+        # same walk
         rng = random.Random(52)
         for trial in range(60):
             prefix = random_slp(rng, max_len=150) if trial % 4 else bits("")
@@ -593,12 +594,12 @@ class TestWindow:
             p = max(p1, p2)
             for start in {0, min(p1, p2) // 2, p1, p2, p, p + 1, p + 3 * k1 + 2}:
                 for n in {0, 1, k1, p + k1 + k2, math.lcm(k1, k2)}:
-                    words = x.word(n, start), y.word(n, start)
                     windows = x.window(n, start), y.window(n, start)
-                    assert slp.equal(*words) == slp.equal(*windows)
+                    copies = [Slp(w.alphabet, w.productions, w.axiom) for w in windows]
+                    assert slp.equal(*windows) == slp.equal(*copies)
                     for budget in (compare.DEFAULT_BUDGET, 5):
                         got, want = (compare.comp_slp(*pair, compare.ZERO_LEQ_ONE, budget)
-                                     for pair in (words, windows))
+                                     for pair in (windows, copies))
                         assert (got.verdict, got.witness, got.visited, got.checked,
                                 got.period) == (want.verdict, want.witness, want.visited,
                                                 want.checked, want.period), (trial, start, n)
@@ -607,13 +608,13 @@ class TestWindow:
         pair = IndicatorPair(random_slp(random.Random(53), max_len=500),
                              random_slp(random.Random(54), min_len=1, max_len=300))
         for n in range(0, 400, 7):
-            pair.word(n, n // 2)
-        w = pair.word(1, 123)
-        assert len(w.productions) > 50  # the word shares the store of all those cuts
-        assert slp.length(w) == 1
-        # a name that is a terminal is wrapped, as a build wraps it
-        w = slp._Store("01").word("1")
-        assert w.axiom not in w.alphabet and slp.expand(w, 1) == "1"
+            pair.window(n, n // 2)
+        w = pair.window(1, 123)
+        # the window is anchored in the store of all those cuts, and its
+        # canonical productions reach only its own symbols
+        assert len(slp._anchor(w)[0].productions) > 50
+        assert len(w.productions) == 1 and slp.length(w) == 1
+        # a name that is a terminal is wrapped
         assert slp.format_slp(slp._Store("01").build("1")) == "alphabet: 01\nN0 -> 1\n"
 
     def test_cut_past_the_prefix_is_a_power_of_the_rotated_loop(self):
@@ -623,7 +624,7 @@ class TestWindow:
             pair = IndicatorPair(prefix, loop)
             plen, k = slp.length(pair.prefix), slp.length(pair.loop)
             start, copies = plen + rng.randint(0, 3 * k), rng.randint(2, 9)
-            view = compare._View(*pair._place(copies * k, start))
+            view = compare._View(*slp._anchor(pair.window(copies * k, start)))
             base = compare._power_base(view)
             assert base is not None and k % view.lens[base] == 0
 
