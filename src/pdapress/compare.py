@@ -255,8 +255,9 @@ def comp_slp(
     that covers the positions up to the answer also covers its blocks.  A
     negative budget raises BadRange.
 
-    Both programs are imported into one store (equal subprograms are one
-    name there); both sides keep a stack of pending symbols and an offset
+    Both programs are written into one store (equal subprograms are one
+    name there), which starts from p1's own store where _Store.holding
+    can take it; both sides keep a stack of pending symbols and an offset
     into the top one.  At each step the first rule that fits decides:
 
     (a) every symbol of the left block is related to every symbol: skip it;
@@ -299,8 +300,8 @@ def comp_slp(
         raise LengthMismatch(f"lengths {format_int(n)} and {format_int(slp.length(p2))} differ")
     if not p1.alphabet <= relation.alphabet or not p2.alphabet <= relation.alphabet:
         raise ValueError("word alphabets must be contained in the relation's alphabet")
-    st = slp._Store(relation.alphabet)
-    return _walk(st.build(st.imp(p1)), st.build(st.imp(p2)), relation, budget)
+    st, root = slp._Store.holding(relation.alphabet, p1)
+    return _walk(st.build(root), st.build(st.imp(p2)), relation, budget)
 
 
 def _walk(p1: Slp, p2: Slp, relation: SymbolRelation, budget: int) -> CheckResult:

@@ -26,13 +26,12 @@ BIT_ALPHABET = frozenset("01")
 EVENT_ALPHABET = frozenset("af")
 
 
-def _import(st: slp._Store, p: Slp) -> str:
-    """Copy p into a store over a possibly larger alphabet (names are refreshed)."""
-    if not p.alphabet <= st.alphabet:
-        raise MalformedPair(
-            f"alphabet {sorted(p.alphabet)} not within {sorted(st.alphabet)}"
-        )
-    return st.imp(p)
+def _import(alphabet: frozenset[str], p: Slp, st: slp._Store | None = None) -> tuple[slp._Store, str]:
+    """p's word in st over alphabet, or in a new store over alphabet (see
+    _Store.holding); p's alphabet must be within it."""
+    if not p.alphabet <= alphabet:
+        raise MalformedPair(f"alphabet {sorted(p.alphabet)} not within {sorted(alphabet)}")
+    return slp._Store.holding(alphabet, p) if st is None else (st, st.imp(p))
 
 
 def _cut(st: slp._Store, pre: str, loop: str, n: int, start: int) -> str:
@@ -69,8 +68,8 @@ class _Pair:
     ALPHABET: ClassVar[frozenset[str]]
 
     def __init__(self, prefix: Slp, loop: Slp):
-        st = slp._Store(self.ALPHABET)
-        self._st, self._pre, self._loop = st, _import(st, prefix), _import(st, loop)
+        st, self._pre = _import(self.ALPHABET, prefix)
+        self._st, self._loop = _import(self.ALPHABET, loop, st)
         if not st.lengths[self._loop]:
             raise MalformedPair(f"{self.KIND} pair needs a nonempty loop")
 
@@ -253,9 +252,8 @@ def slp_to_udpda(p: Slp) -> NormalUdpda:
     internal states, so a machine over the bottom symbol alone has no pop
     state and reads back from its file as itself.
     """
-    st = slp._Store(BIT_ALPHABET)
     g = _Gadgets()
-    entry, exit_ = _slp_machine(g, st, _import(st, p), "s")
+    entry, exit_ = _slp_machine(g, *_import(BIT_ALPHABET, p), "s")
     g.internal[exit_] = HALT_STATE
     g.internal[HALT_STATE] = HALT_STATE
     g.reading.add(HALT_STATE)

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from pdapress import cli, slp, translate
+from pdapress import cli, compare, slp, translate
 from pdapress.errors import (
     AlphabetMismatch,
     BadRange,
@@ -119,7 +119,7 @@ class TestStore:
         st = slp._Store("01")
         empty = st.add(())
         kids = [st.imp(random_slp(rng, "01", max_len=40)) for _ in range(12)] + [empty, "0", "1"]
-        for width in (5, 8, 32, 33, 64, 500, 5000):
+        for width in (5, 8, 19, 20, 33, 64, 500, 5000):
             for pool in ([empty], ["0"], kids):
                 rhs = [rng.choice(pool) for _ in range(width)]
                 rhs[0] = rhs[1] = rhs[-2] = rhs[-1] = empty
@@ -136,6 +136,73 @@ class TestStore:
         assert len(p.productions) <= len(P0.productions) + 40
         assert slp.length(p) == 4 << 40
         assert slp.query(p, (4 << 40) - 3) == "1"
+
+    def test_rules_read_only_the_reachable_names(self):
+        # the fold's order comes from the names' counters, so a name in a
+        # store holding many other rules costs its own rules, not a scan
+        class NoScan(dict):
+            def _scan(self, *args):
+                raise AssertionError("a scan of the whole store")
+            __iter__ = items = keys = values = _scan
+
+        rng = random.Random(67)
+        st = slp._Store("01")
+        roots = [st.imp(random_slp(rng, "01", max_len=80)) for _ in range(30)]
+        creation = list(st.productions)
+        st.productions = NoScan(st.productions)
+        for root in roots:
+            names = [name for name, _ in st.rules(root)]
+            assert names == sorted(names, key=creation.index)  # children first
+            reach, todo = set(), [root]
+            while todo:
+                if (sym := todo.pop()) in st.productions and sym not in reach:
+                    reach.add(sym)
+                    todo += st.productions[sym]
+            assert set(names) == reach
+
+    def test_a_program_read_from_text_is_written_once(self, monkeypatch):
+        # the word algebra, a pair, a machine and a comparison start from a
+        # copy of a parsed program's own store: they import only the other
+        # program, and the parsed program's store does not grow
+        rng = random.Random(69)
+        for _ in range(25):
+            p = slp.parse_slp(slp.format_slp(random_slp(rng, "01", min_len=1, max_len=120)))
+            other = random_slp(rng, "01", min_len=1, max_len=40)
+            word, tail = spelled(p), spelled(other)
+            n, h = len(word), rng.randrange(len(word))
+            bits = "".join(rng.choice("01") for _ in range(n))
+            own = dict(slp._anchor(p)[0].productions)
+            imp = slp._Store.imp
+
+            def imp_other(st, prog, termmap=None):
+                assert prog is not p, "a parsed program written again"
+                return imp(st, prog, termmap)
+
+            monkeypatch.setattr(slp._Store, "imp", imp_other)
+            assert slp.expand(slp.concat(p, other), 2 * n + len(tail)) == word + tail
+            assert slp.expand(slp.slice(p, h, n), n) == word[h:]
+            assert slp.expand(slp.power(p, 2), 2 * n) == word * 2
+            assert slp.expand(slp.cyclic_shift(p, h), n) == word[h:] + word[:h]
+            pair = translate.IndicatorPair(p, other)
+            assert pair.sequence(n + len(tail)) == word + tail
+            machine = translate.slp_to_udpda(p)
+            assert translate.udpda_to_indicator(machine).sequence(n + 2) == "0" + word + "0"
+            got = compare.comp_slp(p, slp.literal(bits, "01"), compare.ZERO_LEQ_ONE)
+            bad = [i for i in range(n) if word[i] > bits[i]]
+            assert got.witness == (bad[0] if bad else None)
+            monkeypatch.undo()
+            assert slp._anchor(p)[0].productions == own
+
+    def test_a_program_in_a_larger_store_is_imported(self):
+        # a window is a name in its pair's store: a store holding it starts
+        # afresh, with only the window's rules, and the pair's store is left
+        pair = translate.IndicatorPair(slp.literal("0110", "01"), slp.literal("101", "01"))
+        window = pair.window(7, 2)
+        before = dict(pair._st.productions)
+        st, name = slp._Store.holding("01", window)
+        assert st is not pair._st and pair._st.productions == before
+        assert len(st.productions) == len(st.rules(name))
+        assert slp.expand(st.build(name), 7) == ("0110" + "101" * 3)[2:9]
 
 
 class TestExpandLengthQuery:
