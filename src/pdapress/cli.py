@@ -11,13 +11,15 @@ timing is printed instead; for componentwise checks it also carries the
 blocks visited, the length of the prefix checked clean and the period of
 the residue check (0 when the walk decided alone).  Each verb
 group accepts only the options its handler reads; options and inputs may
-come in any order after the verb group.
+come in any order after the verb group.  An input is a word after "--", a
+negative number, or a word that does not start with "-".
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from pathlib import Path
@@ -272,16 +274,40 @@ def build_parser(group: str) -> argparse.ArgumentParser:
     return parser
 
 
+# a negative number as argparse reads one: a word starting with "-" that is an input
+_NEGATIVE = re.compile(r"-\d+|-\d*\.\d+")
+
+
+def _parse(group: str, argv: list) -> argparse.Namespace:
+    """The group's command line in one parse_known_args pass.  The inputs are
+    the words after the first "--", and before it the words the parser takes
+    as inputs or leaves over, in order: those that do not start with "-",
+    and negative numbers.  Any other word is an argparse error."""
+    cut = argv.index("--") if "--" in argv else len(argv)
+    parser = build_parser(group)
+    args, rest = parser.parse_known_args(argv[:cut])
+    # argparse fills the inputs positional once, from the first run of
+    # inputs, and leaves the later words over: together they are in order
+    words = args.inputs + rest
+    unknown = [w for w in words if w.startswith("-") and not _NEGATIVE.fullmatch(w)]
+    if unknown:
+        parser.error(f"unrecognized arguments: {' '.join(unknown)}")
+    args.inputs = words + list(argv[cut + 1:])
+    return args
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    groups = "".join(f"  {name:<9}{help_text}\n" for name, (help_text, _) in GROUPS.items())
-    top = argparse.ArgumentParser(
-        prog="pda-press", formatter_class=argparse.RawDescriptionHelpFormatter,
-        description="unary pushdown automata, compressed words, and their decision problems",
-        epilog=f"groups:\n{groups}\n'pda-press GROUP -h' lists the group's verbs and options")
-    top.add_argument("group", choices=list(GROUPS))
-    group = top.parse_args(argv[:1]).group
-    args = build_parser(group).parse_intermixed_args(argv[1:])
+    group = argv[0] if argv else None
+    if group not in GROUPS:  # -h, or no group: the top-level parser answers
+        groups = "".join(f"  {name:<9}{help_text}\n" for name, (help_text, _) in GROUPS.items())
+        top = argparse.ArgumentParser(
+            prog="pda-press", formatter_class=argparse.RawDescriptionHelpFormatter,
+            description="unary pushdown automata, compressed words, and their decision problems",
+            epilog=f"groups:\n{groups}\n'pda-press GROUP -h' lists the group's verbs and options")
+        top.add_argument("group", choices=list(GROUPS))
+        group = top.parse_args(argv[:1]).group
+    args = _parse(group, argv[1:])
     started = time.monotonic()
     try:
         want = GROUPS[group][1][args.what]

@@ -363,15 +363,21 @@ def _moves(a: NormalUdpda):
     """Yield the one move of each (state, top) pair as a raw transition, by
     sorted state and then sorted stack symbol: the order of the sorted
     transitions, since all moves of a state share one input field."""
+    gammas = sorted(a.stack_alphabet)
+    internal, push, pop, bottom = a.internal, a.push, a.pop, a.bottom
     for q in sorted(a.states):
         sigma = "a" if q in a.reading else ""
-        for gamma in sorted(a.stack_alphabet):
-            if q in a.internal:
-                yield q, sigma, gamma, a.internal[q], (gamma,)
-            elif q in a.push:
-                yield q, sigma, gamma, a.push[q][0], (a.push[q][1], gamma)
-            else:
-                yield q, sigma, gamma, a.pop[(q, gamma)], (gamma,) if gamma == a.bottom else ()
+        if q in internal:
+            q2 = internal[q]
+            for gamma in gammas:
+                yield q, sigma, gamma, q2, (gamma,)
+        elif q in push:
+            q2, sym = push[q]
+            for gamma in gammas:
+                yield q, sigma, gamma, q2, (sym, gamma)
+        else:
+            for gamma in gammas:
+                yield q, sigma, gamma, pop[(q, gamma)], (gamma,) if gamma == bottom else ()
 
 
 def to_raw(a: NormalUdpda) -> RawUnpda:

@@ -1,5 +1,6 @@
 """The pda-press command: verbs, exit codes, output formats."""
 
+import argparse
 import decimal
 import json
 import shlex
@@ -22,6 +23,7 @@ from pdapress.errors import (
     parse_int,
 )
 
+import cli_contract
 from helpers import HARD_TARGET, HARD_WEIGHTS
 
 
@@ -739,6 +741,31 @@ class TestArguments:
             assert f"{name}  " in out and help_text in out
             code, out_group, _ = run_or_exit(capsys, name, "-h")
             assert code == 0 and all(verb in out_group for verb in verbs)
+
+    @pytest.mark.parametrize("argv, code, word", cli_contract.CASES)
+    def test_argument_contract(self, argv, code, word):
+        # the table also runs alone: PYTHONPATH=src python tests/cli_contract.py
+        with cli_contract.in_files():
+            cli_contract.check(argv, code, word)
+
+    def test_one_parser_and_one_parse_pass(self, files, capsys, monkeypatch):
+        # a group's name is the group: no top-level parser, and the group's
+        # command line is parsed once, options between the inputs and all
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(parser, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(parser, *args, **kwargs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("parse_intermixed_args called")
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_intermixed_args", refuse)
+        code, out, _ = run(capsys, "decide", "member", files / "even.updpa", "--json", "12")
+        assert code == 0 and json.loads(out)["verdict"] == "yes"
+        assert built == ["pda-press decide"]
 
     def test_index_error_in_a_handler_exits_4(self, files, capsys, monkeypatch):
         def crash(p):
